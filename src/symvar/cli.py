@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -35,6 +34,13 @@ def _parse_grid(text):
         raise SymvarError(f"grid must be lo:hi:step, got {text!r}")
     lo, hi, step = (float(x) for x in parts)
     return lo, hi, step
+
+
+def _parse_dims(text):
+    try:
+        return [int(x) for x in text.split(",")]
+    except ValueError:
+        raise SymvarError(f"dims must be comma-separated integers, got {text!r}") from None
 
 
 def _load_measure(text):
@@ -139,9 +145,8 @@ def _cmd_simulate(args):
         else:
             _emit(args, matrixlab.report_json(report))
     else:  # proof-identity
-        dims = [int(x) for x in args.dims.split(",")]
         rows = matrixlab.proof_identity_report(
-            float(p), y_law, dims, args.reps, args.seed
+            float(p), y_law, _parse_dims(args.dims), args.reps, args.seed
         )
         if args.output == "csv":
             import csv as _csv
@@ -244,8 +249,6 @@ def main(argv=None):
         args = ap.parse_args(_join_dashed_values(list(argv)))
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
-    if "SYMVAR_THREADS" in os.environ:
-        os.environ.setdefault("OMP_NUM_THREADS", os.environ["SYMVAR_THREADS"])
     try:
         return args.func(args)
     except CriticalCaseError as exc:

@@ -1,14 +1,23 @@
 """Random-matrix realization of free independence.
 
-A rank-round(p*n) diagonal projection E and a Haar-rotated diagonal Y become
-asymptotically free as n grows, so normalized traces of powers of E+Y should
-converge to the free-convolution predictions from the cumulant engine. The
-same machinery probes the proof step
+A rank-round(p*n) diagonal projection E and a Haar-rotated diagonal
+Y = U D U* become asymptotically free as n grows, so normalized traces of
+powers of E+Y should converge to the free-convolution predictions from the
+cumulant engine. The same machinery probes the proof step
 
     phi(psi(e+y)) =? q phi(psi(y)) + p phi(psi(1+y))
 
 for the nonlinear dual function psi, which the certificate module cannot
 settle analytically; residuals are reported, never asserted.
+
+The rotated model is drawn in compressed form, exactly in law. By unitary
+invariance, spec(E + U D U*) = spec(D + sigma Q Q*) + c, where Q is an n x s
+Haar isometry with s = min(r, n - r) for the rank r of E; sigma = +1, c = 0
+when r <= n - r, and otherwise sigma = -1, c = 1 (write E = I - (I - E)).
+D is constant on each atom block, so only the triangular factor R_i of the
+block's rows of Q matters: the spectrum is that of diag(a_i) + sigma R R*,
+of dimension sum_i min(n_i, s), plus each atom a_i repeated n_i - min(n_i, s)
+times. No n x n matrix is formed.
 """
 
 from __future__ import annotations
@@ -27,6 +36,15 @@ from .measures import DiscreteMeasure, bernoulli, moments_of
 from .partitions import IndependenceKind
 
 MAX_SIM_ORDER = 13
+# Largest matrix dimension. In the worst case (p = 1/2, two equal atoms) the
+# compressed eigenproblem keeps dimension n, and one draw at n = 2500 peaks
+# at about 0.37 GB above the interpreter's own memory.
+MAX_SIM_DIM = 2500
+
+
+def _check_dim(n):
+    if not 2 <= n <= MAX_SIM_DIM:
+        raise SizeError(f"matrix dimension must be in 2..{MAX_SIM_DIM}, got {n}")
 
 
 @dataclass(frozen=True)
@@ -39,8 +57,7 @@ class MatrixModel:
     seed: int
 
     def __post_init__(self):
-        if self.n < 2:
-            raise SizeError("matrix dimension must be >= 2")
+        _check_dim(self.n)
         if not 0 < self.p < 1:
             raise SizeError(f"p must lie in (0,1), got {self.p}")
 
@@ -52,19 +69,24 @@ class MatrixModel:
         return abs(self.rank() / self.n - self.p)
 
 
-def sample_haar_unitary(n, seed):
-    """Haar-distributed unitary via QR of a complex Ginibre matrix.
+def sample_haar_isometry(n, k, seed):
+    """First k columns of a Haar unitary: thin QR of an n x k complex Ginibre matrix.
 
     The diagonal phase of R is divided out so the distribution is exactly
     Haar rather than QR-convention dependent.
     """
-    if n < 1:
-        raise SizeError("dimension must be >= 1")
     rng = np.random.default_rng(seed)
-    z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2)
+    z = (rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))) / np.sqrt(2)
     q, r = np.linalg.qr(z)
     d = np.diag(r)
     return q * (d / np.abs(d))
+
+
+def sample_haar_unitary(n, seed):
+    """Haar-distributed n x n unitary (the k = n isometry)."""
+    if n < 1:
+        raise SizeError("dimension must be >= 1")
+    return sample_haar_isometry(n, n, seed)
 
 
 def spectral_multiplicities(mu: DiscreteMeasure, n):
@@ -85,34 +107,49 @@ def _eigenvalue_vector(mu, n):
     return np.repeat(vals, counts)
 
 
-def _realize(model: MatrixModel, rotate=True):
-    """Return (e_diag, sum_eigenvalues) for E + Y.
+def _rotated_spectrum(model: MatrixModel, q):
+    """Eigenvalues (unordered) of E + U D U* for the isometry q of the reduction.
 
-    rotate=True conjugates Y by a Haar unitary (asymptotically free model);
-    rotate=False interleaves the y spectrum inside each E block so E and Y
-    commute and realize classical independence up to rounding.
+    q is the n x min(r, n - r) isometry of the module docstring: it spans the
+    range of E when r <= n - r and that of I - E otherwise.
     """
     n, r = model.n, model.rank()
-    e = np.zeros(n)
-    e[:r] = 1.0
+    sigma, shift = (1.0, 0.0) if r <= n - r else (-1.0, 1.0)
+    counts = spectral_multiplicities(model.y_law, n)
+    starts = np.concatenate([[0], np.cumsum(counts)])
+    factors, diag, rest = [], [], []
+    for (t, _), lo, hi in zip(model.y_law.atoms, starts, starts[1:]):
+        rf = np.linalg.qr(q[lo:hi], mode="r")
+        factors.append(rf)
+        diag.append(np.full(len(rf), float(t)))
+        rest.append(np.full(hi - lo - len(rf), float(t)))
+    rr = np.vstack(factors)
+    small = sigma * (rr @ rr.conj().T)
+    small[np.diag_indices_from(small)] += np.concatenate(diag)
+    return np.concatenate([np.linalg.eigvalsh(small), *rest]) + shift
+
+
+def _realize(model: MatrixModel, rotate=True):
+    """Eigenvalues of E + Y.
+
+    rotate=True draws the Haar-rotated (asymptotically free) model in the
+    compressed form of the module docstring; rotate=False interleaves the y
+    spectrum inside each E block so E and Y commute and realize classical
+    independence up to rounding.
+    """
+    n, r = model.n, model.rank()
     if rotate:
-        d = _eigenvalue_vector(model.y_law, n)
-        u = sample_haar_unitary(n, model.seed)
-        y = (u * d) @ u.conj().T
-        a = np.diag(e).astype(complex) + y
-        lam = np.linalg.eigvalsh(a)
-    else:
-        d1 = _eigenvalue_vector(model.y_law, r)
-        d0 = _eigenvalue_vector(model.y_law, n - r)
-        lam = np.concatenate([1.0 + d1, d0])
-    return e, lam
+        return _rotated_spectrum(model, sample_haar_isometry(n, min(r, n - r), model.seed))
+    d1 = _eigenvalue_vector(model.y_law, r)
+    d0 = _eigenvalue_vector(model.y_law, n - r)
+    return np.concatenate([1.0 + d1, d0])
 
 
 def simulate_free_sum(model: MatrixModel, order) -> MomentSequence:
     """Empirical moments tr((E+Y)^k)/n for k = 1..order, Haar-rotated model."""
     if not 1 <= order <= MAX_SIM_ORDER:
         raise SizeError(f"order must be in 1..{MAX_SIM_ORDER}")
-    _, lam = _realize(model, rotate=True)
+    lam = _realize(model, rotate=True)
     return MomentSequence(tuple(float(np.mean(lam**k)) for k in range(1, order + 1)))
 
 
@@ -129,7 +166,7 @@ def test_proof_identity(model: MatrixModel, grid_free=True, func=None):
             raise CriticalCaseError()
         func = lambda t: _psi(t, p)  # noqa: E731
     q = 1.0 - p
-    _, lam = _realize(model, rotate=grid_free)
+    lam = _realize(model, rotate=grid_free)
     lhs = float(np.mean([func(t) for t in lam]))
     dy = _eigenvalue_vector(model.y_law, model.n)
     rhs = q * float(np.mean([func(t) for t in dy])) + p * float(
@@ -144,6 +181,10 @@ def proof_identity_report(p, y_law, dims, seeds_per_dim, master_seed):
     Returns rows {"n", "seed", "rotated_residual", "commuting_residual"};
     no numeric target is asserted anywhere, the table IS the result.
     """
+    if seeds_per_dim < 1:
+        raise SizeError("seeds_per_dim must be >= 1")
+    for n in dims:
+        _check_dim(n)
     rows = []
     for n in dims:
         ss = np.random.SeedSequence([master_seed, n])

@@ -1,6 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import symvar
+from symvar.matrixlab import MAX_SIM_DIM
 
 from symvar.cli import main
 from symvar.measures import DiscreteMeasure
@@ -147,6 +154,49 @@ def test_simulate_proof_identity(capsys):
     rows = json.loads(out)
     assert len(rows) == 4
     assert {r["n"] for r in rows} == {40, 80}
+
+
+def _reject_non_finite(token):
+    raise ValueError(f"non-finite number {token} in output")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--experiment", "proof-identity", "--dims", ","],
+        ["--experiment", "proof-identity", "--dims", "a"],
+        ["--experiment", "proof-identity", "--dims", "1"],
+        ["--experiment", "proof-identity", "--dims", "20,-3"],
+        ["--experiment", "proof-identity", "--dims", f"20,{MAX_SIM_DIM + 1}"],
+        ["--experiment", "proof-identity", "--dims", "20", "--reps", "0", "--output", "csv"],
+        ["--n", str(MAX_SIM_DIM + 1)],
+        ["--n", "10000000000"],
+    ],
+)
+def test_simulate_bad_sizes_exit_1(capsys, argv):
+    code = main(["simulate", "--p", "0.3", "--seed", "1", *argv])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == ""
+    obj = json.loads(captured.out, parse_constant=_reject_non_finite)
+    assert set(obj) == {"error", "hint"}
+
+
+def _env_after_import(**preset):
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS")}
+    env.update(preset)
+    env["PYTHONPATH"] = str(Path(symvar.__file__).resolve().parents[1])
+    code = ("import os, symvar; print(os.environ.get('OMP_NUM_THREADS'), "
+            "os.environ.get('OPENBLAS_NUM_THREADS'))")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    return done.stdout.split()
+
+
+def test_symvar_threads_sets_blas_variables():
+    assert _env_after_import(SYMVAR_THREADS="1") == ["1", "1"]
+    assert _env_after_import(SYMVAR_THREADS="1", OPENBLAS_NUM_THREADS="2") == ["1", "2"]
 
 
 def test_outfile(tmp_path, capsys):

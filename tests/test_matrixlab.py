@@ -8,6 +8,17 @@ from symvar.measures import DiscreteMeasure, bernoulli, moments_of
 from symvar.partitions import IndependenceKind
 
 Y_LAW = DiscreteMeasure.from_atoms([(-1.0, 0.3), (0.0, 0.7)], mode="float")
+THREE_ATOM = DiscreteMeasure.from_atoms([(-1.0, 0.2), (-0.5, 0.2), (0.0, 0.6)], mode="float")
+# at n=7 the middle atom's multiplicity rounds to 0
+EMPTY_ATOM = DiscreteMeasure.from_atoms([(-1.0, 0.45), (-0.5, 0.05), (0.0, 0.5)], mode="float")
+
+
+def _dense_spectrum(model, u):
+    """Eigenvalues of E + U D U*: the full-matrix model the reduction replaces."""
+    e = np.zeros(model.n)
+    e[: model.rank()] = 1.0
+    d = ml._eigenvalue_vector(model.y_law, model.n)
+    return np.linalg.eigvalsh(np.diag(e) + (u * d) @ u.conj().T)
 
 
 def test_haar_unitary_is_unitary():
@@ -21,6 +32,13 @@ def test_haar_unitary_deterministic():
     assert np.array_equal(a, b)
 
 
+def test_haar_isometry_columns_orthonormal():
+    for k in (0, 1, 17, 40):
+        q = ml.sample_haar_isometry(40, k, 5)
+        assert q.shape == (40, k)
+        assert np.max(np.abs(q.conj().T @ q - np.eye(k)), initial=0.0) < 1e-12
+
+
 def test_haar_unitary_scalar():
     u = ml.sample_haar_unitary(1, 3)
     assert u.shape == (1, 1)
@@ -32,6 +50,8 @@ def test_model_validation():
         ml.MatrixModel(n=1, p=0.3, y_law=Y_LAW, seed=0)
     with pytest.raises(SizeError):
         ml.MatrixModel(n=10, p=0.0, y_law=Y_LAW, seed=0)
+    with pytest.raises(SizeError):
+        ml.MatrixModel(n=ml.MAX_SIM_DIM + 1, p=0.3, y_law=Y_LAW, seed=0)
 
 
 def test_spectral_multiplicities_largest_remainder():
@@ -66,14 +86,64 @@ def test_simulation_deterministic_per_seed():
     assert a.values == b.values
 
 
-def test_simulated_moments_near_free_prediction():
-    model = ml.MatrixModel(n=600, p=0.3, y_law=Y_LAW, seed=21)
+@pytest.mark.parametrize("law", [Y_LAW, THREE_ATOM], ids=["two_atom", "three_atom"])
+@pytest.mark.parametrize("p", [0.3, 0.7])
+def test_simulated_moments_near_free_prediction(p, law):
+    model = ml.MatrixModel(n=600, p=p, y_law=law, seed=21)
     ms = ml.simulate_free_sum(model, 6)
     predicted = convolve_moments(
-        moments_of(bernoulli(0.3), 6), moments_of(Y_LAW, 6), IndependenceKind.FREE
+        moments_of(bernoulli(p), 6), moments_of(law, 6), IndependenceKind.FREE
     )
     for emp, pred in zip(ms.values, predicted.values):
         assert emp == pytest.approx(pred, abs=0.05)
+
+
+@pytest.mark.parametrize(
+    "law,n,p",
+    [
+        (Y_LAW, 40, 0.3),
+        (Y_LAW, 40, 0.7),
+        (THREE_ATOM, 40, 0.3),
+        (THREE_ATOM, 41, 0.7),
+        (Y_LAW, 7, 0.05),  # rank 0
+        (THREE_ATOM, 7, 0.95),  # rank n
+        (EMPTY_ATOM, 7, 0.3),
+        (EMPTY_ATOM, 7, 0.7),
+    ],
+)
+def test_rotated_spectrum_is_exact_reduction(law, n, p):
+    model = ml.MatrixModel(n=n, p=p, y_law=law, seed=0)
+    r = model.rank()
+    s = min(r, n - r)
+    sigma, shift = (1.0, 0.0) if r <= n - r else (-1.0, 1.0)
+    q = ml.sample_haar_isometry(n, s, 31)
+    got = np.sort(ml._rotated_spectrum(model, q))
+    d = ml._eigenvalue_vector(law, n)
+    want = shift + np.linalg.eigvalsh(np.diag(d) + sigma * q @ q.conj().T)
+    assert np.max(np.abs(got - want)) < 1e-12
+    # complete q to a unitary V with q spanning the range of E (sigma = +1) or
+    # of I - E (sigma = -1); then E + V* D V is the full model with the same law
+    v = np.linalg.qr(np.hstack([q, ml.sample_haar_isometry(n, n - s, 32)]))[0]
+    if sigma < 0:
+        v = np.roll(v, n - s, axis=1)
+    assert np.max(np.abs(got - _dense_spectrum(model, v.conj().T))) < 1e-12
+
+
+@pytest.mark.parametrize("law", [Y_LAW, THREE_ATOM], ids=["two_atom", "three_atom"])
+@pytest.mark.parametrize("p", [0.3, 0.7])
+def test_law_matches_dense_haar_model(p, law):
+    n, reps, order = 60, 200, 6
+    ks = np.arange(1, order + 1)
+    new = np.empty((reps, order))
+    old = np.empty((reps, order))
+    for seed in range(reps):
+        model = ml.MatrixModel(n=n, p=p, y_law=law, seed=seed)
+        new[seed] = ml.simulate_free_sum(model, order).values
+        lam = _dense_spectrum(model, ml.sample_haar_unitary(n, seed))
+        old[seed] = [np.mean(lam**k) for k in ks]
+    stderr = np.sqrt((new.var(axis=0, ddof=1) + old.var(axis=0, ddof=1)) / reps)
+    diff = np.abs(new.mean(axis=0) - old.mean(axis=0))
+    assert np.all(diff <= 5.0 * stderr + 1e-12), (diff, stderr)
 
 
 def test_spectral_function_application():
@@ -149,5 +219,9 @@ def test_reps_validation():
     model = ml.MatrixModel(n=10, p=0.3, y_law=Y_LAW, seed=0)
     with pytest.raises(SizeError):
         ml.empirical_vs_predicted(model, 4, 0)
+    with pytest.raises(SizeError):
+        ml.proof_identity_report(0.3, Y_LAW, [20], 0, 1)
+    with pytest.raises(SizeError):
+        ml.proof_identity_report(0.3, Y_LAW, [20, 1], 1, 1)
     with pytest.raises(SizeError):
         ml.simulate_free_sum(model, 14)
