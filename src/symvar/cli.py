@@ -28,12 +28,18 @@ def _parse_rational(text):
         raise SymvarError(f"cannot parse rational {text!r}") from None
 
 
+def _parse_floats(text, sep, what):
+    try:
+        return tuple(float(x) for x in text.split(sep))
+    except ValueError:
+        raise SymvarError(f"{what} must be numbers separated by {sep!r}, got {text!r}") from None
+
+
 def _parse_grid(text):
-    parts = text.split(":")
+    parts = _parse_floats(text, ":", "grid")
     if len(parts) != 3:
         raise SymvarError(f"grid must be lo:hi:step, got {text!r}")
-    lo, hi, step = (float(x) for x in parts)
-    return lo, hi, step
+    return parts
 
 
 def _parse_dims(text):
@@ -90,9 +96,7 @@ def _cmd_certify(args):
     if args.mode == "exact":
         report = verify_inequality_exact(p)
     else:
-        lo, hi, step = _parse_grid(args.grid)
-        n = int(round((hi - lo) / step))
-        grid = [lo + i * step for i in range(n + 1)]
+        grid = GridSpec(*_parse_grid(args.grid), must_include=()).points()
         report = verify_inequality_grid(float(p), grid)
     obj = json.loads(report.to_json())
     obj["p_exact"] = f"{p.numerator}/{p.denominator}"
@@ -104,9 +108,8 @@ def _cmd_optimize(args):
     p = _parse_rational(args.p)
     kind = IndependenceKind.parse(args.kind)
     if kind is IndependenceKind.CLASSICAL:
-        lo, hi, step = _parse_grid(args.grid)
-        include = tuple(float(x) for x in args.include.split(","))
-        grid = GridSpec(lo, hi, step, include)
+        include = _parse_floats(args.include, ",", "include")
+        grid = GridSpec(*_parse_grid(args.grid), include)
         if args.relax_order is not None:
             result = classical_min_variance(
                 p, grid, mode="moment_relax", relax_order=args.relax_order

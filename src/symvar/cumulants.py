@@ -7,18 +7,37 @@ The defining relation for every kind is
 which collapses to cheap one-variable recursions:
 
   classical:  m_n = sum_{j=1..n} C(n-1, j-1) k_j m_{n-j}
-  free:       m_n = sum_{j=1..n} k_j * sum_{i_1+..+i_j = n-j} m_{i_1}..m_{i_j}
+  free:       m_n = sum_{j=1..n} k_j * T[j][n-j],  T[j][r] = [z^r] M(z)^j
   boolean:    m_n = sum_{j=1..n} k_j m_{n-j}
 
-All arithmetic is exact when fed exact rationals (fractions.Fraction); the
-same code paths run in float mode for the optimizer and matrix lab.
+with M(z) = 1 + sum_n m_n z^n. The public transforms run these recursions
+and are exact when fed exact rationals (fractions.Fraction). The free one
+fills only the triangle j + r <= N of T, the entries a moment of order N
+can read.
+
+The optimizer's search has float-only private kernels. They treat each
+relation as arithmetic on truncated power series, stored as numpy vectors;
+multiplying by a series is a mat-vec with its lower-triangular Toeplitz
+matrix. The free pair is Lagrange inversion (Nica-Speicher, Lectures on the
+Combinatorics of Free Probability, Lect. 16): with H(w) = 1 + sum_n k_n w^n,
+
+  m_n = [w^n] H(w)^(n+1) / (n+1),   k_n = -[t^n] M(t)^(1-n) / (n-1)  (n >= 2),
+
+each a diagonal of successive powers, so N mat-vecs give all N entries; 1/M
+is one unit-triangular solve. The Boolean pair M = 1/(1 - B) (Speicher-
+Woroudi 1997) is a reciprocal recursion, kept in plain Python because numpy
+calls cost more than the arithmetic at these orders.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
+
+import numpy as np
+from scipy.linalg import solve_triangular
 
 from .errors import OrderError, SizeError
 from .partitions import IndependenceKind
@@ -74,7 +93,7 @@ def _power_tables(mm, n_max):
     for j in range(1, n_max + 1):
         prev = T[j - 1]
         cur = T[j]
-        for r in range(n_max + 1):
+        for r in range(n_max + 1 - j):  # entries with r > n_max - j are never read
             cur[r] = sum(mm[i] * prev[r - i] for i in range(r + 1))
     return T
 
@@ -96,9 +115,8 @@ def cumulants_to_moments(kappa: CumulantSequence) -> MomentSequence:
         for n in range(1, n_max + 1):
             mn = sum(k[j] * T[j][n - j] for j in range(1, n + 1))
             m.append(mn)
-            if n < n_max:
-                for j in range(1, n_max + 1):
-                    T[j][n] = sum(m[i] * T[j - 1][n - i] for i in range(n + 1))
+            for j in range(1, n_max - n + 1):  # T[j][n] is read only when j + n <= n_max
+                T[j][n] = sum(m[i] * T[j - 1][n - i] for i in range(n + 1))
         return MomentSequence(tuple(m[1:]))
     for n in range(1, n_max + 1):
         if kind is IndependenceKind.CLASSICAL:
@@ -127,51 +145,58 @@ def moments_to_cumulants(m: MomentSequence, kind) -> CumulantSequence:
     return CumulantSequence(kind, tuple(k[1:]))
 
 
-def _free_m2k_float(m):
-    """Float-only fast path: free cumulants k_1..k_N from moments m_1..m_N."""
-    n_max = len(m)
-    mm = [1.0] + list(m)
-    P = [[0.0] * (n_max + 1) for _ in range(n_max + 1)]
-    P[0][0] = 1.0
-    for j in range(1, n_max + 1):
-        prev = P[j - 1]
-        cur = P[j]
-        for r in range(n_max + 1 - j):
-            s = 0.0
-            for i in range(r + 1):
-                s += mm[i] * prev[r - i]
-            cur[r] = s
-    k = [0.0]
-    for n in range(1, n_max + 1):
-        rest = 0.0
-        for j in range(1, n):
-            rest += k[j] * P[j][n - j]
-        k.append(mm[n] - rest)
-    return k[1:]
+@lru_cache(maxsize=MAX_ORDER + 1)
+def _toeplitz_index(n):
+    """Gather index of an n x n lower-triangular Toeplitz matrix; n points at a zero."""
+    lag = np.subtract.outer(np.arange(n), np.arange(n))
+    idx = np.where(lag >= 0, lag, n)
+    idx.flags.writeable = False
+    return idx
+
+
+def _toeplitz(s):
+    """Lower-triangular Toeplitz matrix of the series s: multiplying by it is
+    multiplication by s, truncated at the length of s."""
+    return np.append(s, 0.0)[_toeplitz_index(len(s))]
+
+
+def _power_diagonal(s, shift):
+    """c_n = [t^n] s(t)^(n + shift) for n = 1..N, where s = (1, s_1, ..., s_N).
+
+    Each Toeplitz mat-vec raises the power by one while the coefficient read
+    moves up by one, so N mat-vecs give the whole diagonal.
+    """
+    lt = _toeplitz(s)
+    q = np.zeros(len(s))
+    q[0] = 1.0
+    for _ in range(1 + shift):
+        q = lt.dot(q)
+    c = np.empty(len(s) - 1)
+    for n in range(1, len(s)):
+        c[n - 1] = q[n]
+        q = lt.dot(q)
+    return c
 
 
 def _free_k2m_float(kap):
-    """Float-only fast path: moments m_1..m_N from free cumulants k_1..k_N."""
-    n_max = len(kap)
-    k = [0.0] + list(kap)
-    m = [1.0]
-    T = [[0.0] * n_max for _ in range(n_max + 1)]
-    T[0][0] = 1.0
-    for j in range(1, n_max + 1):
-        T[j][0] = 1.0
-    for n in range(1, n_max + 1):
-        mn = 0.0
-        for j in range(1, n + 1):
-            mn += k[j] * T[j][n - j]
-        m.append(mn)
-        if n < n_max:
-            for j in range(1, n_max + 1):
-                prev = T[j - 1]
-                s = 0.0
-                for i in range(n + 1):
-                    s += m[i] * prev[n - i]
-                T[j][n] = s
-    return m[1:]
+    """Free moments m_1..m_N from cumulants: m_n = [w^n] (1 + K(w))^(n+1) / (n+1)."""
+    h = np.concatenate(([1.0], kap))
+    return _power_diagonal(h, 1) / np.arange(2, len(h) + 1)
+
+
+def _free_m2k_float(m):
+    """Free cumulants k_1..k_N from moments: k_n = -[t^n] M(t)^(1-n) / (n-1) for n >= 2.
+
+    The series 1/M comes from one unit-triangular Toeplitz solve.
+    """
+    mm = np.concatenate(([1.0], m))
+    e0 = np.zeros(len(mm))
+    e0[0] = 1.0
+    r = solve_triangular(_toeplitz(mm), e0, lower=True, unit_diagonal=True, check_finite=False)
+    k = _power_diagonal(r, -1)
+    k[0] = mm[1]
+    k[1:] /= -np.arange(1, len(m))
+    return k
 
 
 def _boolean_m2k_float(m):

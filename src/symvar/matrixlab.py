@@ -47,6 +47,11 @@ def _check_dim(n):
         raise SizeError(f"matrix dimension must be in 2..{MAX_SIM_DIM}, got {n}")
 
 
+def _check_seed(seed):
+    if seed < 0:
+        raise SizeError(f"seed must be non-negative, got {seed}")
+
+
 @dataclass(frozen=True)
 class MatrixModel:
     """One (dimension, projection trace, symmetrizer law, seed) experiment."""
@@ -58,6 +63,7 @@ class MatrixModel:
 
     def __post_init__(self):
         _check_dim(self.n)
+        _check_seed(self.seed)
         if not 0 < self.p < 1:
             raise SizeError(f"p must lie in (0,1), got {self.p}")
 
@@ -183,6 +189,7 @@ def proof_identity_report(p, y_law, dims, seeds_per_dim, master_seed):
     """
     if seeds_per_dim < 1:
         raise SizeError("seeds_per_dim must be >= 1")
+    _check_seed(master_seed)
     for n in dims:
         _check_dim(n)
     rows = []

@@ -10,9 +10,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isfinite
 
 from .cumulants import MAX_ORDER, MomentSequence
-from .errors import OrderError, SizeError
+from .errors import OrderError, SizeError, SymvarError
 
 FLOAT_MERGE_TOL = 1e-10
 FLOAT_WEIGHT_TOL = 1e-12
@@ -29,10 +30,15 @@ class DiscreteMeasure:
     def from_atoms(cls, pairs, mode="exact"):
         if mode not in ("exact", "float"):
             raise SizeError(f"unknown mode {mode!r}")
-        if mode == "exact":
-            pairs = [(Fraction(t), Fraction(w)) for t, w in pairs]
-        else:
-            pairs = [(float(t), float(w)) for t, w in pairs]
+        num = Fraction if mode == "exact" else float
+        try:
+            pairs = [(num(t), num(w)) for t, w in pairs]
+        except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+            raise SymvarError(
+                "atoms must be a list of [location, weight] pairs of finite numbers"
+            ) from None
+        if mode == "float" and not all(isfinite(x) for pair in pairs for x in pair):
+            raise SizeError("atom locations and weights must be finite")
         if any(w < 0 for _, w in pairs):
             raise SizeError("negative atom weight")
         pairs.sort(key=lambda a: a[0])
@@ -66,6 +72,8 @@ class DiscreteMeasure:
     @classmethod
     def from_json(cls, text):
         obj = json.loads(text)
+        if not isinstance(obj, dict):
+            raise SymvarError('a measure is a JSON object with an "atoms" list')
         return cls.from_atoms(obj["atoms"], mode=obj.get("mode", "exact"))
 
 

@@ -6,18 +6,23 @@ with Bland's rule. For free and Boolean independence the moments of e+y are
 polynomial in the moments of y (through the cumulant transforms), so we run
 a multi-start penalized Nelder-Mead over atom locations and softmax weights;
 the theorems say the answer is p, and the search doubles as a falsifier.
+One objective evaluation is vectorized: y's moments come from one matrix
+product, the free transforms are numpy power-series kernels, and the penalty
+and box terms are dot products. OptResult.evaluations counts the objective
+evaluations of all Nelder-Mead runs.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from math import comb
+from math import comb, isfinite
 
 import numpy as np
 from scipy.optimize import minimize
 
 from .cumulants import (
+    MAX_ORDER,
     MomentSequence,
     _boolean_k2m_float,
     _boolean_m2k_float,
@@ -43,6 +48,8 @@ class GridSpec:
     must_include: tuple = (-1.0, 0.0)
 
     def __post_init__(self):
+        if not all(map(isfinite, (self.lo, self.hi, self.step, *self.must_include))):
+            raise SizeError("grid bounds, step and included points must be finite")
         if not self.lo < self.hi:
             raise SizeError("grid needs lo < hi")
         if self.step <= 0:
@@ -73,14 +80,16 @@ class SearchConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.max_odd_order % 2 == 0 or self.max_odd_order > 13:
-            raise SizeError("max_odd_order must be odd and <= 13")
+        if self.max_odd_order % 2 == 0 or not 1 <= self.max_odd_order <= MAX_ORDER:
+            raise SizeError(f"max_odd_order must be odd and in 1..{MAX_ORDER}")
         if list(self.penalty_weights) != sorted(set(self.penalty_weights)) or min(
             self.penalty_weights
         ) <= 0:
             raise SizeError("penalty schedule must be strictly increasing and positive")
         if self.restarts < 1 or self.atom_budget < 1:
             raise SizeError("restarts and atom_budget must be positive")
+        if self.seed < 0:
+            raise SizeError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -91,6 +100,7 @@ class OptResult:
     measure: DiscreteMeasure
     residual: float
     status: str  # "optimal" | "feasible" | "infeasible"
+    evaluations: int = 0  # objective evaluations of the search; 0 for the LP
 
     def to_json(self):
         return json.dumps(
@@ -99,6 +109,7 @@ class OptResult:
                 "status": self.status,
                 "residual": self.residual,
                 "measure": json.loads(self.measure.to_json()) if self.measure else None,
+                "evaluations": self.evaluations,
             }
         )
 
@@ -303,21 +314,18 @@ def _check_noncritical(p, allow_critical):
 
 
 def _sum_odd_moments(locs, weights, e_kappa, kind, order):
-    """Odd moments of e+y for y supported on (locs, weights); float fast path."""
-    pw = locs.copy()
-    my = []
-    for _ in range(order):
-        my.append(float(np.dot(weights, pw)))
-        pw = pw * locs
+    """Odd moments of e+y (a vector) and m2(y), for y supported on (locs, weights).
+
+    Moments 1..order are transformed, so order must be at least 2; e_kappa
+    holds e's cumulants to that order.
+    """
+    my = weights @ locs[:, None] ** np.arange(1, order + 1)
     if kind is IndependenceKind.FREE:
-        ky = _free_m2k_float(my)
-        total = [a + b for a, b in zip(e_kappa, ky)]
-        ms = _free_k2m_float(total)
+        ms = _free_k2m_float(e_kappa + _free_m2k_float(my))
     else:
-        ky = _boolean_m2k_float(my)
-        total = [a + b for a, b in zip(e_kappa, ky)]
-        ms = _boolean_k2m_float(total)
-    return ms[0::2], my[1]  # odd moments of e+y, m2(y)
+        ky = _boolean_m2k_float(my.tolist())
+        ms = np.array(_boolean_k2m_float([a + b for a, b in zip(e_kappa, ky)]))
+    return ms[0::2], my[1]
 
 
 def nc_min_variance(p, kind, cfg: SearchConfig = SearchConfig(), allow_critical=False) -> OptResult:
@@ -332,24 +340,22 @@ def nc_min_variance(p, kind, cfg: SearchConfig = SearchConfig(), allow_critical=
     kind = IndependenceKind(kind)
     if kind is IndependenceKind.CLASSICAL:
         raise SizeError("use classical_min_variance for the classical kind")
-    order = cfg.max_odd_order
+    order = max(cfg.max_odd_order, 2)  # m2(y) is the objective
     k = cfg.atom_budget
     me = [pf] * order  # Bernoulli(p) has m_n = p for all n
     e_kappa = _free_m2k_float(me) if kind is IndependenceKind.FREE else _boolean_m2k_float(me)
 
     def unpack(x):
-        locs = np.clip(x[:k], -3.0, 2.0)
-        logits = x[k:] - np.max(x[k:])
-        weights = np.exp(logits)
+        locs = np.minimum(np.maximum(x[:k], -3.0), 2.0)
+        weights = np.exp(x[k:] - x[k:].max())
         weights /= weights.sum()
         return locs, weights
 
     def objective(x, lam):
         locs, weights = unpack(x)
         odd, m2 = _sum_odd_moments(locs, weights, e_kappa, kind, order)
-        pen = sum(v * v for v in odd)
-        box = np.sum((x[:k] - np.clip(x[:k], -3.0, 2.0)) ** 2)
-        return m2 + lam * pen + 10.0 * box
+        d = x[:k] - locs
+        return m2 + lam * (odd @ odd) + 10.0 * (d @ d)
 
     rng = np.random.default_rng(cfg.seed)
     starts = []
@@ -371,13 +377,14 @@ def nc_min_variance(p, kind, cfg: SearchConfig = SearchConfig(), allow_critical=
     def evaluate(x):
         locs, weights = unpack(x)
         odd, m2 = _sum_odd_moments(locs, weights, e_kappa, kind, order)
-        return x, m2, max(abs(v) for v in odd)
+        return x, m2, np.abs(odd).max()
 
     # the initial points themselves are candidates: the seeded start is the
     # theorem's equality case and must never be lost to solver drift
     candidates = [evaluate(x) for x in starts]
 
     lam_final = cfg.penalty_weights[-1]
+    evaluations = 0
     explored = []
     for x in starts:
         xcur = x.copy()
@@ -389,6 +396,7 @@ def nc_min_variance(p, kind, cfg: SearchConfig = SearchConfig(), allow_critical=
                 method="Nelder-Mead",
                 options={"maxiter": 60 * k, "xatol": 1e-7, "fatol": 1e-10},
             )
+            evaluations += res.nfev
             xcur = res.x
         explored.append(evaluate(xcur))
     candidates.extend(explored)
@@ -403,6 +411,7 @@ def nc_min_variance(p, kind, cfg: SearchConfig = SearchConfig(), allow_critical=
             method="Nelder-Mead",
             options={"maxiter": 300 * k, "xatol": 1e-10, "fatol": 1e-14},
         )
+        evaluations += res.nfev
         candidates.append(evaluate(res.x))
 
     feasible = [c for c in candidates if c[2] < 1e-6]
@@ -423,4 +432,4 @@ def nc_min_variance(p, kind, cfg: SearchConfig = SearchConfig(), allow_critical=
         kind,
         order,
     )
-    return OptResult(float(m2), mu, float(max(abs(v) for v in odd)), status)
+    return OptResult(float(m2), mu, float(np.abs(odd).max()), status, int(evaluations))

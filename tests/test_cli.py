@@ -81,6 +81,7 @@ def test_optimize_free_small(capsys):
     obj = json.loads(out)
     assert abs(obj["objective"] - 0.3) < 1e-3
     assert obj["residual"] < 1e-6
+    assert obj["evaluations"] > 0
 
 
 def test_optimize_identical_invocations_identical_output(capsys):
@@ -160,6 +161,15 @@ def _reject_non_finite(token):
     raise ValueError(f"non-finite number {token} in output")
 
 
+def _assert_json_error(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == ""
+    obj = json.loads(captured.out, parse_constant=_reject_non_finite)
+    assert set(obj) == {"error", "hint"}
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -174,12 +184,43 @@ def _reject_non_finite(token):
     ],
 )
 def test_simulate_bad_sizes_exit_1(capsys, argv):
-    code = main(["simulate", "--p", "0.3", "--seed", "1", *argv])
-    captured = capsys.readouterr()
-    assert code == 1
-    assert captured.err == ""
-    obj = json.loads(captured.out, parse_constant=_reject_non_finite)
-    assert set(obj) == {"error", "hint"}
+    _assert_json_error(capsys, ["simulate", "--p", "0.3", "--seed", "1", *argv])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["optimize", "--kind", "free", "--p", "0.3", "--seed", "-1",
+         "--restarts", "1", "--atoms", "2"],
+        ["simulate", "--p", "0.3", "--seed", "-1", "--n", "20"],
+        ["simulate", "--experiment", "proof-identity", "--p", "0.3", "--seed", "-1",
+         "--dims", "20"],
+    ],
+)
+def test_negative_seed_exit_1(capsys, argv):
+    _assert_json_error(capsys, argv)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["optimize", "--kind", "classical", "--p", "0.3", "--include", "a"],
+        ["optimize", "--kind", "classical", "--p", "0.3", "--include", "nan"],
+        ["symmetry", "--p", "0.3", "--kind", "free", "--measure", '{"atoms": 5}'],
+        ["symmetry", "--p", "0.3", "--kind", "free", "--measure", "5"],
+        ["symmetry", "--p", "0.3", "--kind", "free", "--measure", '{"atoms": [[NaN, 1]]}'],
+        ["symmetry", "--p", "0.3", "--kind", "free", "--measure",
+         '{"atoms": [[NaN, 1]], "mode": "float"}'],
+        ["convolve", "--kind", "free", "--x", '{"atoms": [[0, Infinity]], "mode": "float"}',
+         "--y", FLOAT_NEG_BERN],
+        ["certify", "--p", "0.3", "--mode", "grid", "--grid", "0:1:0"],
+        ["certify", "--p", "0.3", "--mode", "grid", "--grid", "1:0:0.1"],
+        ["certify", "--p", "0.3", "--mode", "grid", "--grid", "a:1:0.1"],
+        ["certify", "--p", "0.3", "--mode", "grid", "--grid", "0:1:nan"],
+    ],
+)
+def test_bad_inputs_exit_1(capsys, argv):
+    _assert_json_error(capsys, argv)
 
 
 def _env_after_import(**preset):

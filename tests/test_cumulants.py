@@ -1,12 +1,16 @@
 from fractions import Fraction as F
 from math import comb
 
+import numpy as np
 import pytest
 
 from conftest import random_exact_measure, random_rational
 from symvar.cumulants import (
+    MAX_ORDER,
     CumulantSequence,
     MomentSequence,
+    _free_k2m_float,
+    _free_m2k_float,
     convolve_moments,
     cumulants_to_moments,
     moments_to_cumulants,
@@ -170,3 +174,30 @@ def test_mismatched_orders_rejected():
     b = MomentSequence((F(1),) * 4)
     with pytest.raises(SizeError):
         convolve_moments(a, b, K.FREE)
+
+
+def _random_float_laws(count, seed=13):
+    """Laws with at most 6 atoms in the search's box [-3, 2]."""
+    gen = np.random.default_rng(seed)
+    for _ in range(count):
+        size = int(gen.integers(1, 7))
+        yield gen.uniform(-3.0, 2.0, size), gen.dirichlet(np.ones(size))
+
+
+def _assert_close(got, exact, rel):
+    for g, e in zip(got, exact):
+        assert abs(F(float(g)) - e) <= rel * max(1, abs(e)), (float(g), float(e))
+
+
+def test_free_float_kernels_match_exact_transforms():
+    # the exact transforms are prefix-consistent (entry n depends on entries
+    # 1..n only), so one exact call at MAX_ORDER serves every float order
+    for locs, weights in _random_float_laws(200):
+        m = weights @ locs[:, None] ** np.arange(1, MAX_ORDER + 1)
+        exact_k = moments_to_cumulants(MomentSequence(tuple(map(F, m))), K.FREE).values
+        k = _free_m2k_float(m)
+        exact_m = cumulants_to_moments(CumulantSequence(K.FREE, tuple(map(F, k)))).values
+        for order in range(1, MAX_ORDER + 1):
+            assert len(_free_m2k_float(m[:order])) == order
+            _assert_close(_free_m2k_float(m[:order]), exact_k[:order], 1e-6)
+            _assert_close(_free_k2m_float(k[:order]), exact_m[:order], 1e-9)

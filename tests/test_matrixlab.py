@@ -52,6 +52,8 @@ def test_model_validation():
         ml.MatrixModel(n=10, p=0.0, y_law=Y_LAW, seed=0)
     with pytest.raises(SizeError):
         ml.MatrixModel(n=ml.MAX_SIM_DIM + 1, p=0.3, y_law=Y_LAW, seed=0)
+    with pytest.raises(SizeError):
+        ml.MatrixModel(n=10, p=0.3, y_law=Y_LAW, seed=-1)
 
 
 def test_spectral_multiplicities_largest_remainder():
@@ -223,5 +225,7 @@ def test_reps_validation():
         ml.proof_identity_report(0.3, Y_LAW, [20], 0, 1)
     with pytest.raises(SizeError):
         ml.proof_identity_report(0.3, Y_LAW, [20, 1], 1, 1)
+    with pytest.raises(SizeError):
+        ml.proof_identity_report(0.3, Y_LAW, [20], 1, -1)
     with pytest.raises(SizeError):
         ml.simulate_free_sum(model, 14)

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from conftest import random_exact_measure
-from symvar.errors import OrderError, SizeError
+from symvar.errors import OrderError, SizeError, SymvarError
 from symvar.measures import (
     DiscreteMeasure,
     bernoulli,
@@ -96,6 +96,30 @@ def test_weight_validation():
         DiscreteMeasure.from_atoms([(F(0), F(-1)), (F(1), F(2))])
     with pytest.raises(SizeError):
         DiscreteMeasure.from_atoms([(0.0, 0.5), (1.0, 0.6)], mode="float")
+
+
+@pytest.mark.parametrize(
+    "pairs,mode",
+    [
+        ([(float("nan"), 1.0)], "float"),
+        ([(0.0, float("nan"))], "float"),
+        ([(float("inf"), 1.0)], "float"),
+        ([(float("nan"), 1)], "exact"),
+        (5, "exact"),
+        ([(1, 2, 3)], "float"),
+        ([("a", 1)], "exact"),
+        ([(0, "1/0")], "exact"),
+        ([(10**400, 1)], "float"),
+    ],
+)
+def test_malformed_or_non_finite_atoms_rejected(pairs, mode):
+    with pytest.raises(SymvarError):
+        DiscreteMeasure.from_atoms(pairs, mode=mode)
+
+
+def test_from_json_rejects_non_object():
+    with pytest.raises(SymvarError):
+        DiscreteMeasure.from_json("[1, 2]")
 
 
 def test_order_limit():

@@ -1,5 +1,11 @@
-import pytest
+import json
 
+import numpy as np
+import pytest
+from scipy.optimize import minimize
+
+from symvar import optimizer
+from symvar.cumulants import _boolean_m2k_float, _free_m2k_float
 from symvar.errors import CriticalCaseError, SizeError
 from symvar.measures import variance
 from symvar.optimizer import (
@@ -9,6 +15,7 @@ from symvar.optimizer import (
     nc_min_variance,
     simplex_solve,
 )
+from symvar.partitions import IndependenceKind
 
 GRID = GridSpec(-2.0, 1.0, 0.25)
 
@@ -87,6 +94,9 @@ def test_grid_spec_validation():
         GridSpec(0.0, 1.0, -0.5)
     with pytest.raises(SizeError):
         GridSpec(0.0, 1e6, 1e-3)
+    for bad in ((0.0, 1.0, float("nan")), (float("-inf"), 1.0, 0.5), (0.0, 1.0, 0.5, (float("nan"),))):
+        with pytest.raises(SizeError):
+            GridSpec(*bad)
 
 
 def test_search_config_validation():
@@ -96,6 +106,11 @@ def test_search_config_validation():
         SearchConfig(penalty_weights=(1e4, 1e2))
     with pytest.raises(SizeError):
         SearchConfig(restarts=0)
+    for order in (-1, 0, 15):
+        with pytest.raises(SizeError):
+            SearchConfig(max_odd_order=order)
+    with pytest.raises(SizeError):
+        SearchConfig(seed=-1)
 
 
 def test_nc_rejects_critical_and_classical():
@@ -127,10 +142,50 @@ def test_nc_search_deterministic():
 
 
 def test_opt_result_json():
-    import json
-
     result = classical_min_variance(0.3, GRID)
     obj = json.loads(result.to_json())
     assert obj["status"] == "optimal"
     assert abs(obj["objective"] - 0.21) < 1e-9
     assert obj["measure"]["mode"] == "float"
+    assert obj["evaluations"] == 0
+
+
+@pytest.mark.parametrize("p", [0.3, 0.7])
+@pytest.mark.parametrize("kind", ["free", "boolean"])
+def test_sum_odd_moments_vanish_at_equality_case(kind, p):
+    # y = -e in law symmetrizes e in every sense: all odd moments of e + y vanish
+    kind = IndependenceKind(kind)
+    m2k = _free_m2k_float if kind is IndependenceKind.FREE else _boolean_m2k_float
+    for order in range(2, 14):
+        e_kappa = m2k([p] * order)
+        odd, m2 = optimizer._sum_odd_moments(
+            np.array([-1.0, 0.0]), np.array([p, 1 - p]), e_kappa, kind, order
+        )
+        assert len(odd) == (order + 1) // 2
+        assert np.abs(odd).max() <= 1e-12
+        assert m2 == pytest.approx(p, abs=1e-15)
+
+
+@pytest.mark.parametrize("kind", ["free", "boolean"])
+@pytest.mark.parametrize("max_odd_order", [1, 3])
+def test_nc_search_low_orders(kind, max_odd_order):
+    cfg = SearchConfig(max_odd_order=max_odd_order, restarts=1, atom_budget=2, seed=5)
+    result = nc_min_variance(0.3, kind, cfg)
+    assert result.status == "optimal"
+    assert result.residual < 1e-6
+    assert result.objective <= 0.3 + 1e-3
+
+
+def test_evaluations_count_every_minimize_call(monkeypatch):
+    seen = []
+
+    def counting_minimize(*args, **kwargs):
+        res = minimize(*args, **kwargs)
+        seen.append(res.nfev)
+        return res
+
+    monkeypatch.setattr(optimizer, "minimize", counting_minimize)
+    result = nc_min_variance(0.3, "boolean", SearchConfig(restarts=1, atom_budget=2, seed=5))
+    assert len(seen) == 2 * len(SearchConfig().penalty_weights) + 2
+    assert result.evaluations == sum(seen) > 0
+    assert json.loads(result.to_json())["evaluations"] == result.evaluations
