@@ -34,7 +34,6 @@ from .optimizer import (
     SearchConfig,
     classical_min_variance,
     nc_min_variance,
-    simplex_solve,
 )
 from .partitions import (
     IndependenceKind,
@@ -44,4 +43,4 @@ from .partitions import (
     is_noncrossing,
 )
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"

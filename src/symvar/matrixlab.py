@@ -212,7 +212,9 @@ def proof_identity_report(p, y_law, dims, seeds_per_dim, master_seed):
 def empirical_vs_predicted(model: MatrixModel, order, reps):
     """Mean/stderr of empirical moments over reps seeds vs free-convolution predictions.
 
-    Flags any order where |mean - predicted| > 5*stderr + 10/n.
+    Flags any order where |mean - predicted| > 5*stderr + 10/n. With one rep
+    the standard error is undefined: it is reported as None and nothing is
+    flagged.
     """
     if reps < 1:
         raise SizeError("reps must be >= 1")
@@ -225,12 +227,10 @@ def empirical_vs_predicted(model: MatrixModel, order, reps):
         m = MatrixModel(model.n, model.p, model.y_law, int(child.generate_state(1)[0]))
         samples[i] = simulate_free_sum(m, order).values
     mean = samples.mean(axis=0)
-    stderr = (
-        samples.std(axis=0, ddof=1) / np.sqrt(reps) if reps > 1 else np.full(order, np.inf)
-    )
+    stderr = samples.std(axis=0, ddof=1) / np.sqrt(reps) if reps > 1 else None
     rows = []
     for k in range(order):
-        tol = 5.0 * stderr[k] + 10.0 / model.n
+        error = abs(mean[k] - predicted[k])
         rows.append(
             {
                 "n": model.n,
@@ -238,9 +238,9 @@ def empirical_vs_predicted(model: MatrixModel, order, reps):
                 "order": k + 1,
                 "empirical": float(mean[k]),
                 "predicted": float(predicted[k]),
-                "abs_error": float(abs(mean[k] - predicted[k])),
-                "stderr": float(stderr[k]),
-                "flagged": bool(abs(mean[k] - predicted[k]) > tol),
+                "abs_error": float(error),
+                "stderr": None if stderr is None else float(stderr[k]),
+                "flagged": stderr is not None and bool(error > 5.0 * stderr[k] + 10.0 / model.n),
             }
         )
     return {

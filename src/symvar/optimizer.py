@@ -1,8 +1,9 @@
 """Minimum symmetrizer variance: exact LP classically, penalized search otherwise.
 
 Classically the symmetry constraints are linear in the weights of a gridded
-law for Y, so the minimum of Var(Y) is a small LP solved by a dense simplex
-with Bland's rule. For free and Boolean independence the moments of e+y are
+law for Y, so the minimum of Var(Y) is an LP; its rows are assembled as a
+sparse matrix and solved by scipy's HiGHS (Huangfu-Hall dual revised
+simplex). For free and Boolean independence the moments of e+y are
 polynomial in the moments of y (through the cumulant transforms), so we run
 a multi-start penalized Nelder-Mead over atom locations and softmax weights;
 the theorems say the answer is p, and the search doubles as a falsifier.
@@ -16,26 +17,31 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from math import comb, isfinite
+from math import isfinite
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy import sparse
+from scipy.optimize import linprog, minimize
 
 from .cumulants import (
     MAX_ORDER,
-    MomentSequence,
     _boolean_k2m_float,
     _boolean_m2k_float,
     _free_k2m_float,
     _free_m2k_float,
+    convolve_moments,
     odd_moment_residual,
 )
-from .errors import CriticalCaseError, SizeError
+from .errors import CriticalCaseError, SizeError, SymvarError
 from .measures import DiscreteMeasure, bernoulli, moments_of, variance
 from .partitions import IndependenceKind
 
 MAX_GRID_POINTS = 100_000
-FEAS_TOL = 1e-9
+MAX_RELAX_ORDER = (MAX_ORDER - 1) // 2  # odd orders 1..MAX_ORDER, as the residual reports
+# HiGHS's default tolerances (1e-7) let the objective stop 1e-8 above the
+# optimum on a 100k-point grid; LP results are checked to 1e-9
+HIGHS_TOL = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
+MAX_ATOMS = 64  # Nelder-Mead keeps a (2k+1) x 2k simplex for k atoms
 
 
 @dataclass(frozen=True)
@@ -88,6 +94,8 @@ class SearchConfig:
             raise SizeError("penalty schedule must be strictly increasing and positive")
         if self.restarts < 1 or self.atom_budget < 1:
             raise SizeError("restarts and atom_budget must be positive")
+        if self.atom_budget > MAX_ATOMS:
+            raise SizeError(f"atom_budget must be at most {MAX_ATOMS}, got {self.atom_budget}")
         if self.seed < 0:
             raise SizeError(f"seed must be non-negative, got {self.seed}")
 
@@ -115,189 +123,71 @@ class OptResult:
 
 
 # ---------------------------------------------------------------------------
-# Dense two-phase simplex with Bland's rule
-# ---------------------------------------------------------------------------
-
-def simplex_solve(c, A_eq, b_eq):
-    """Minimize c.w subject to A_eq w = b_eq, w >= 0.
-
-    Dense tableau simplex, Bland's anti-cycling pivot rule, feasibility
-    tolerance 1e-9. Returns (w, value, status) with status in
-    {"optimal", "infeasible"}; unboundedness is reported as a RuntimeError
-    since the problems built here are bounded by construction.
-    """
-    A = np.asarray(A_eq, dtype=float)
-    c = np.asarray(c, dtype=float)
-    b = np.asarray(b_eq, dtype=float)
-    if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b)) and np.all(np.isfinite(c))):
-        raise SizeError("non-finite LP data")
-    m, n = A.shape
-    if n > MAX_GRID_POINTS:
-        raise SizeError("too many LP columns")
-    neg = b < 0
-    A[neg] *= -1
-    b = b.copy()
-    b[neg] *= -1
-
-    # phase 1: artificial basis
-    T = np.hstack([A, np.eye(m), b.reshape(-1, 1)])
-    basis = list(range(n, n + m))
-    cost1 = np.concatenate([np.zeros(n), np.ones(m)])
-    if not _simplex_iterate(T, basis, cost1, n + m):
-        raise RuntimeError("phase-1 unbounded (cannot happen)")
-    if cost1[basis] @ T[:, -1] > FEAS_TOL:
-        return None, None, "infeasible"
-    _drive_out_artificials(T, basis, n)
-
-    # phase 2 on original columns only
-    cost2 = np.concatenate([c, np.full(m, np.inf)])  # inf blocks artificials
-    cost2[n:] = 0.0
-    entering_cap = n
-    if not _simplex_iterate(T, basis, cost2, entering_cap):
-        raise RuntimeError("LP unbounded (cannot happen: objective bounded on simplex)")
-    w = np.zeros(n)
-    for i, j in enumerate(basis):
-        if j < n:
-            w[j] = T[i, -1]
-    return w, float(c @ w), "optimal"
-
-
-def _simplex_iterate(T, basis, cost, entering_cap, max_iter=100_000):
-    m = T.shape[0]
-    for _ in range(max_iter):
-        cb = cost[basis]
-        y = cb @ T[:, :-1]
-        reduced = cost[:entering_cap] - y[:entering_cap]
-        enter = -1
-        for j in range(entering_cap):  # Bland: smallest index
-            if j in basis:
-                continue
-            if reduced[j] < -FEAS_TOL:
-                enter = j
-                break
-        if enter < 0:
-            return True
-        col = T[:, enter]
-        best = None
-        for i in range(m):
-            if col[i] > FEAS_TOL:
-                ratio = T[i, -1] / col[i]
-                if best is None or ratio < best[0] - 1e-15 or (
-                    abs(ratio - best[0]) <= 1e-15 and basis[i] < basis[best[1]]
-                ):
-                    best = (ratio, i)
-        if best is None:
-            return False
-        _pivot(T, basis, best[1], enter)
-    raise RuntimeError("simplex iteration limit reached")
-
-
-def _drive_out_artificials(T, basis, n):
-    m = T.shape[0]
-    for i in range(m):
-        if basis[i] >= n:
-            row = T[i, :n]
-            j = int(np.argmax(np.abs(row)))
-            if abs(row[j]) > FEAS_TOL:
-                _pivot(T, basis, i, j)
-            # else: redundant row, harmless to leave the zero artificial basic
-
-
-def _pivot(T, basis, i, j):
-    T[i] /= T[i, j]
-    for r in range(T.shape[0]):
-        if r != i and T[r, j] != 0.0:
-            T[r] -= T[r, j] * T[i]
-    basis[i] = j
-
-
-# ---------------------------------------------------------------------------
 # Classical LP
 # ---------------------------------------------------------------------------
+
+def _mirror_rows(g, pf):
+    """Sparse rows mass(v) - mass(-v) of X+Y, one per value |v| > 0 of its support.
+
+    Grid point t puts weight 1-p on the value t and weight p on t+1, so it
+    enters the row of |t| with the sign of t and the row of |t+1| with the
+    sign of t+1. Sorted values of |v| less than 1e-9 apart are one value;
+    |v| < 1e-9 is the centre and has no row.
+    """
+    nv = len(g)
+    v = np.concatenate([g, g + 1.0])
+    coef = np.concatenate([np.full(nv, 1.0 - pf), np.full(nv, pf)]) * np.sign(v)
+    cols = np.tile(np.arange(nv), 2)
+    keep = np.abs(v) >= 1e-9
+    key = np.abs(v[keep])
+    order = np.argsort(key)
+    row = np.empty(len(key), dtype=np.intp)
+    row[order] = np.cumsum(np.diff(key[order], prepend=-1.0) >= 1e-9) - 1
+    return sparse.csr_array((coef[keep], (row, cols[keep])), shape=(row.max() + 1, nv))
+
 
 def classical_min_variance(p, grid: GridSpec, mode="exact_law", relax_order=None) -> OptResult:
     """Minimum Var(Y) over gridded Y independent of Bernoulli(p) with X+Y symmetric.
 
     mode="exact_law" imposes the full mirror symmetry of the law of X+Y;
     mode="moment_relax" imposes only the odd-moment constraints
-    m_{2k+1}(X+Y) = 0 for k = 0..relax_order. Both are linear in the grid
-    weights; the objective minimizes m_2(Y) (the mean is pinned to -p by the
-    k=0 constraint) and the reported objective is the variance of the
-    returned measure.
+    m_{2k+1}(X+Y) = 0 for k = 0..relax_order, relax_order <= MAX_RELAX_ORDER.
+    Both are linear in the grid weights; the LP minimizes m_2(Y) (the mean is
+    pinned to -p by the k=0 constraint) with HiGHS on sparse rows, and the
+    reported objective is the variance of the returned measure.
     """
     pf = float(p)
     if not 0 < pf < 1:
         raise SizeError(f"p must lie in (0,1), got {p}")
-    g = grid.points()
-    nv = len(g)
-    rows, rhs = [], []
-
-    # total mass
-    rows.append([1.0] * nv)
-    rhs.append(1.0)
-
+    g = np.array(grid.points())
     if mode == "exact_law":
-        # mass of X+Y at v: q*w[g=v] + p*w[g=v-1]; impose mass(v) = mass(-v)
-        values = sorted(set(g) | {t + 1 for t in g})
-
-        def mass_row(v):
-            row = [0.0] * nv
-            for i, t in enumerate(g):
-                if abs(t - v) < 1e-9:
-                    row[i] += 1.0 - pf
-                if abs(t + 1 - v) < 1e-9:
-                    row[i] += pf
-            return row
-
-        done = []
-        for v in values:
-            key = abs(v)
-            if key < 1e-9 or any(abs(key - d) < 1e-9 for d in done):
-                continue
-            done.append(key)
-            row = [a - b for a, b in zip(mass_row(key), mass_row(-key))]
-            rows.append(row)
-            rhs.append(0.0)
+        rows = _mirror_rows(g, pf)
     elif mode == "moment_relax":
-        if relax_order is None or relax_order < 0:
-            raise SizeError("moment_relax needs relax_order >= 0")
-        for k in range(relax_order + 1):
-            n = 2 * k + 1
-            # m_n(X+Y) = m_n(Y) + p * sum_{j=1..n} C(n,j) m_{n-j}(Y)
-            row = [0.0] * nv
-            for i, t in enumerate(g):
-                coef = t**n + pf * sum(comb(n, j) * t ** (n - j) for j in range(1, n + 1))
-                row[i] = coef
-            rows.append(row)
-            rhs.append(0.0)
+        if relax_order is None or not 0 <= relax_order <= MAX_RELAX_ORDER:
+            raise SizeError(f"moment_relax needs relax_order in 0..{MAX_RELAX_ORDER}")
+        n = 2 * np.arange(relax_order + 1)[:, None] + 1
+        with np.errstate(over="ignore"):
+            # m_n(X+Y) = (1-p) m_n(Y) + p m_n(Y+1)
+            rows = sparse.csr_array((1.0 - pf) * g**n + pf * (g + 1.0) ** n)
     else:
         raise SizeError(f"unknown mode {mode!r}")
-
-    c = [t * t for t in g]
-    w, _, status = simplex_solve(c, rows, rhs)
-    if status != "optimal":
+    A = sparse.vstack([np.ones((1, len(g))), rows], format="csr")
+    b = np.zeros(A.shape[0])
+    b[0] = 1.0  # total mass
+    c = g * g
+    if not (np.isfinite(A.data).all() and np.isfinite(c).all()):
+        raise SizeError("non-finite LP data")
+    res = linprog(c, A_eq=A, b_eq=b, bounds=(0, None), method="highs", options=HIGHS_TOL)
+    if res.status == 2:
         return OptResult(float("nan"), None, float("nan"), "infeasible")
-    atoms = [(g[i], w[i]) for i in range(nv) if w[i] > 1e-12]
-    total = sum(a[1] for a in atoms)
-    atoms = [(t, wt / total) for t, wt in atoms]
-    mu = DiscreteMeasure.from_atoms(atoms, mode="float")
-    my = moments_of(mu, 13)
-    msum = MomentSequence(
-        tuple(
-            my.values[n - 1]
-            + pf * sum(comb(n, j) * mu_pow(mu, n - j) for j in range(1, n + 1))
-            for n in range(1, 14)
-        )
+    if res.status != 0:
+        raise SymvarError(f"LP solver failed: {res.message}")
+    keep = res.x > 1e-12
+    mu = DiscreteMeasure.from_atoms(zip(g[keep], res.x[keep] / res.x[keep].sum()), mode="float")
+    msum = convolve_moments(
+        moments_of(mu, MAX_ORDER), moments_of(bernoulli(pf), MAX_ORDER), IndependenceKind.CLASSICAL
     )
-    res = odd_moment_residual(msum)
-    return OptResult(float(variance(mu)), mu, float(res), "optimal")
-
-
-def mu_pow(mu, r):
-    """r-th raw moment of a float measure (m_0 = 1)."""
-    if r == 0:
-        return 1.0
-    return float(sum(w * t**r for t, w in mu.atoms))
+    return OptResult(float(variance(mu)), mu, float(odd_moment_residual(msum)), "optimal")
 
 
 # ---------------------------------------------------------------------------

@@ -217,6 +217,11 @@ def test_negative_seed_exit_1(capsys, argv):
         ["certify", "--p", "0.3", "--mode", "grid", "--grid", "1:0:0.1"],
         ["certify", "--p", "0.3", "--mode", "grid", "--grid", "a:1:0.1"],
         ["certify", "--p", "0.3", "--mode", "grid", "--grid", "0:1:nan"],
+        ["optimize", "--kind", "classical", "--p", "0.3", "--relax-order", "600"],
+        ["optimize", "--kind", "classical", "--p", "0.3", "--grid=-1e30:1e30:1e28",
+         "--relax-order", "6"],
+        ["optimize", "--kind", "boolean", "--p", "0.3", "--seed", "1", "--atoms", "100000",
+         "--restarts", "1"],
     ],
 )
 def test_bad_inputs_exit_1(capsys, argv):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -211,10 +213,18 @@ def test_empirical_vs_predicted_report():
     assert len(csv_text.splitlines()) == 7
 
 
+def _reject_non_finite(token):
+    raise ValueError(f"non-finite number {token} in output")
+
+
 def test_empirical_vs_predicted_degenerate_smoke():
     model = ml.MatrixModel(n=2, p=0.4, y_law=Y_LAW, seed=11)
     report = ml.empirical_vs_predicted(model, 3, 1)
     assert len(report["orders"]) == 3  # wide tolerance, report still produced
+    # one rep has no standard error: null in strict JSON, and nothing is flagged
+    obj = json.loads(ml.report_json(report), parse_constant=_reject_non_finite)
+    assert [r["stderr"] for r in obj["orders"]] == [None] * 3
+    assert not obj["any_flagged"]
 
 
 def test_reps_validation():

@@ -2,49 +2,24 @@ import json
 
 import numpy as np
 import pytest
-from scipy.optimize import minimize
+from scipy.optimize import OptimizeResult, minimize
 
 from symvar import optimizer
 from symvar.cumulants import _boolean_m2k_float, _free_m2k_float
-from symvar.errors import CriticalCaseError, SizeError
+from symvar.errors import CriticalCaseError, SizeError, SymvarError
 from symvar.measures import variance
 from symvar.optimizer import (
+    MAX_ATOMS,
+    MAX_GRID_POINTS,
+    MAX_RELAX_ORDER,
     GridSpec,
     SearchConfig,
     classical_min_variance,
     nc_min_variance,
-    simplex_solve,
 )
 from symvar.partitions import IndependenceKind
 
 GRID = GridSpec(-2.0, 1.0, 0.25)
-
-
-def test_simplex_trivial():
-    w, value, status = simplex_solve([1.0, 0.0], [[1.0, 1.0]], [1.0])
-    assert status == "optimal"
-    assert value == pytest.approx(0.0, abs=1e-12)
-    assert w[0] == pytest.approx(0.0, abs=1e-12)
-    assert w[1] == pytest.approx(1.0, abs=1e-12)
-
-
-def test_simplex_infeasible():
-    # w1 + w2 = 1 and w1 + w2 = 2 cannot both hold
-    _, _, status = simplex_solve([1.0, 1.0], [[1.0, 1.0], [1.0, 1.0]], [1.0, 2.0])
-    assert status == "infeasible"
-
-
-def test_simplex_redundant_rows():
-    w, value, status = simplex_solve(
-        [2.0, 1.0], [[1.0, 1.0], [2.0, 2.0]], [1.0, 2.0]
-    )
-    assert status == "optimal"
-    assert value == pytest.approx(1.0, abs=1e-9)
-
-
-def test_simplex_rejects_non_finite():
-    with pytest.raises(SizeError):
-        simplex_solve([float("nan")], [[1.0]], [1.0])
 
 
 @pytest.mark.parametrize("p", [0.1, 0.2, 0.3, 0.4, 0.45, 0.6, 0.75, 0.9])
@@ -85,6 +60,49 @@ def test_infeasible_grid():
     # no grid point can pair with the +1 shift to symmetrize: all mass far positive
     result = classical_min_variance(0.3, GridSpec(3.0, 4.0, 0.5, must_include=()))
     assert result.status == "infeasible"
+    # the mean of X+Y cannot be 0 with Y >= 0.1
+    result = classical_min_variance(0.3, GridSpec(0.1, 0.9, 0.1, must_include=()))
+    assert result.status == "infeasible"
+
+
+def test_lp_solver_failure_is_an_error(monkeypatch):
+    # a HiGHS status other than optimal (0) or infeasible (2) is never reported as a result
+    failed = OptimizeResult(status=4, message="Numerical difficulties encountered.")
+    monkeypatch.setattr(optimizer, "linprog", lambda *args, **kwargs: failed)
+    with pytest.raises(SymvarError, match="Numerical difficulties"):
+        classical_min_variance(0.3, GRID)
+
+
+def test_lp_input_contract():
+    for order in (-1, MAX_RELAX_ORDER + 1, 600, None):
+        with pytest.raises(SizeError):
+            classical_min_variance(0.3, GRID, mode="moment_relax", relax_order=order)
+    # t**13 overflows on this grid: rejected as non-finite data, not an OverflowError
+    with pytest.raises(SizeError, match="non-finite"):
+        classical_min_variance(0.3, GridSpec(-1e30, 1e30, 1e28), mode="moment_relax",
+                               relax_order=MAX_RELAX_ORDER)
+    with pytest.raises(SizeError):
+        classical_min_variance(0.3, GRID, mode="simplex")
+
+
+def test_exact_law_at_grid_point_bound():
+    grid = GridSpec(-2.0, 1.0, 3.0 / MAX_GRID_POINTS)
+    assert len(grid.points()) > MAX_GRID_POINTS
+    result = classical_min_variance(0.3, grid)
+    assert result.status == "optimal"
+    assert result.objective == pytest.approx(0.21, abs=1e-9)
+    assert result.residual <= 1e-9
+    with pytest.raises(SizeError):
+        GridSpec(-2.0, 1.0, 2.9 / MAX_GRID_POINTS)
+
+
+def test_moment_relax_601_points_is_feasible():
+    # regression: the dense simplex reported this LP optimal at residual 0.31
+    result = classical_min_variance(0.3, GridSpec(-2.0, 1.0, 0.005), mode="moment_relax",
+                                    relax_order=MAX_RELAX_ORDER)
+    assert result.status == "optimal"
+    assert result.residual <= 1e-9
+    assert result.objective == pytest.approx(0.21, abs=1e-9)
 
 
 def test_grid_spec_validation():
@@ -111,6 +129,9 @@ def test_search_config_validation():
             SearchConfig(max_odd_order=order)
     with pytest.raises(SizeError):
         SearchConfig(seed=-1)
+    SearchConfig(atom_budget=MAX_ATOMS)
+    with pytest.raises(SizeError):
+        SearchConfig(atom_budget=MAX_ATOMS + 1)
 
 
 def test_nc_rejects_critical_and_classical():
