@@ -11,6 +11,7 @@ if "SYMVAR_THREADS" in _os.environ:
 
 from .cumulants import (
     CumulantSequence,
+    IndependenceKind,
     MomentSequence,
     convolve_moments,
     cumulants_to_moments,
@@ -35,12 +36,5 @@ from .optimizer import (
     classical_min_variance,
     nc_min_variance,
 )
-from .partitions import (
-    IndependenceKind,
-    Partition,
-    enumerate_partitions,
-    is_interval,
-    is_noncrossing,
-)
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"

@@ -19,10 +19,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import CriticalCaseError, SizeError
-from .measures import DiscreteMeasure, _num_str
-
-HALF = Fraction(1, 2)
+from .errors import SizeError
+from .measures import HALF, DiscreteMeasure, _num_str, check_p
 
 
 @dataclass(frozen=True)
@@ -54,21 +52,6 @@ class CertificateReport:
         )
 
 
-def _check_p(p):
-    if isinstance(p, float):
-        if not 0 < p < 1:
-            raise SizeError(f"p must lie in (0,1), got {p}")
-        if p == 0.5:
-            raise CriticalCaseError()
-        return p
-    p = Fraction(p)
-    if not 0 < p < 1:
-        raise SizeError(f"p must lie in (0,1), got {p}")
-    if p == HALF:
-        raise CriticalCaseError()
-    return p
-
-
 def sawtooth(t):
     """The continuous triangle wave: h(t)=t on [-1/2,1/2], h(t+1)=-h(t).
 
@@ -87,7 +70,7 @@ def sawtooth(t):
 
 def psi(t, p):
     """The dual function h(t)/(q-p) - t; undefined at p = 1/2."""
-    p = _check_p(p)
+    p = check_p(p)
     q = 1 - p
     return sawtooth(t) / (q - p) - t
 
@@ -97,7 +80,7 @@ def verify_identity(p, grid) -> bool:
 
     Exact comparison at rational points, 1e-12 tolerance at floats.
     """
-    p = _check_p(p)
+    p = check_p(p)
     q = 1 - p
     for t in grid:
         lhs = q * psi(t, p) + p * psi(1 + t, p)
@@ -120,7 +103,7 @@ def verify_inequality_exact(p) -> CertificateReport:
     convex quadratic per piece: its minimum over the piece is checked at the
     endpoints and the interior critical point, all in rational arithmetic.
     """
-    p = _check_p(p)
+    p = check_p(p)
     candidates = []
     for k in range(-2, 2):
         lo = max(Fraction(-2), k - HALF)
@@ -153,7 +136,7 @@ def verify_inequality_exact(p) -> CertificateReport:
 
 def verify_inequality_grid(p, grid) -> CertificateReport:
     """Sampled version of the dual inequality; max slack over the grid."""
-    p = _check_p(p)
+    p = check_p(p)
     q = 1 - p
     rows = []
     for t in grid:
@@ -178,9 +161,7 @@ def certificate_lower_bound(mu: DiscreteMeasure, p):
     exactly when all atoms sit at the tangency points, so phi(y^2) >= p
     whenever q phi(psi(y)) + p phi(psi(1+y)) = 0.
     """
-    p = _check_p(p) if mu.mode == "float" else _check_p(Fraction(p))
-    if mu.mode == "float":
-        p = float(p)
+    p = check_p(float(p) if mu.mode == "float" else Fraction(p))
     q = 1 - p
     total = 0
     for t, w in mu.atoms:

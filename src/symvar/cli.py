@@ -14,18 +14,20 @@ from fractions import Fraction
 
 from . import matrixlab
 from .certificate import verify_inequality_exact, verify_inequality_grid
-from .cumulants import convolve_moments, odd_moment_residual
+from .cumulants import IndependenceKind, convolve_moments, odd_moment_residual
 from .errors import CriticalCaseError, SymvarError
 from .measures import DiscreteMeasure, _num_str, bernoulli, moments_of
 from .optimizer import GridSpec, SearchConfig, classical_min_variance, nc_min_variance
-from .partitions import IndependenceKind
 
 
 def _parse_rational(text):
     try:
-        return Fraction(text)
+        x = Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise SymvarError(f"cannot parse rational {text!r}") from None
+    if abs(x) > sys.float_info.max:  # every command also uses p as a float
+        raise SymvarError(f"{text!r} is beyond the float range")
+    return x
 
 
 def _parse_floats(text, sep, what):

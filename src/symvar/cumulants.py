@@ -1,48 +1,71 @@
 """Moment <-> cumulant transforms and convolution by cumulant additivity.
 
-The defining relation for every kind is
+Classical, free and Boolean independence differ only in the partition
+lattice that links moments to cumulants: all, non-crossing or interval
+partitions,
 
-    m_n = sum over partitions pi in lattice(kind, n) of prod_{B in pi} k_{|B|}
+    m_n = sum over partitions pi in lattice(kind, n) of prod_{B in pi} k_{|B|}.
 
-which collapses to cheap one-variable recursions:
+Grouping the partitions by the block that holds 1 (of size j) turns every
+lattice sum into one recursion. With M(z) = 1 + sum_n m_n z^n,
 
-  classical:  m_n = sum_{j=1..n} C(n-1, j-1) k_j m_{n-j}
-  free:       m_n = sum_{j=1..n} k_j * T[j][n-j],  T[j][r] = [z^r] M(z)^j
-  boolean:    m_n = sum_{j=1..n} k_j m_{n-j}
+    m_n = k_n + rest_n,   rest_n = sum_{j<n} c_{n,j} k_j [z^(n-j)] P_j,
 
-with M(z) = 1 + sum_n m_n z^n. The public transforms run these recursions
-and are exact when fed exact rationals (fractions.Fraction). The free one
-fills only the triangle j + r <= N of T, the entries a moment of order N
-can read.
+  classical:  c_{n,j} = C(n-1, j-1),  P_j = M
+  free:       c_{n,j} = 1,            P_j = M^j
+  boolean:    c_{n,j} = 1,            P_j = M
 
-The optimizer's search has float-only private kernels. They treat each
-relation as arithmetic on truncated power series, stored as numpy vectors;
-multiplying by a series is a mat-vec with its lower-triangular Toeplitz
-matrix. The free pair is Lagrange inversion (Nica-Speicher, Lectures on the
-Combinatorics of Free Probability, Lect. 16): with H(w) = 1 + sum_n k_n w^n,
+Step n reads only k_1..k_{n-1} and m_0..m_{n-1}, so one loop runs both
+directions: it sets m_n = k_n + rest_n or k_n = m_n - rest_n. The free powers
+live in the triangle powers[j][r] = [z^r] M^j, filled only where j + r <= N
+(the entries an order-N prefix reads); its column n is filled once m_n is
+known.
+On exact rationals (fractions.Fraction) every result is exact.
+
+Float input to the free kind goes instead to numpy kernels, chosen by value
+type; the search evaluates them tens of thousands of times, and there they
+cost about half as much as the triangle. They are Lagrange inversion
+(Nica-Speicher, Lectures on the Combinatorics of Free Probability, Lect. 16):
+with H(w) = 1 + sum_n k_n w^n,
 
   m_n = [w^n] H(w)^(n+1) / (n+1),   k_n = -[t^n] M(t)^(1-n) / (n-1)  (n >= 2),
 
-each a diagonal of successive powers, so N mat-vecs give all N entries; 1/M
-is one unit-triangular solve. The Boolean pair M = 1/(1 - B) (Speicher-
-Woroudi 1997) is a reciprocal recursion, kept in plain Python because numpy
-calls cost more than the arithmetic at these orders.
+each a diagonal of successive powers, so N mat-vecs with a lower-triangular
+Toeplitz matrix give all N entries; 1/M is one unit-triangular solve. On
+Fractions the triangle is the faster one (about 5x per round trip), so the
+exact path keeps it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
+from numbers import Rational
 
 import numpy as np
 from scipy.linalg import solve_triangular
 
 from .errors import OrderError, SizeError
-from .partitions import IndependenceKind
 
 MAX_ORDER = 13
+
+
+class IndependenceKind(Enum):
+    """Which partition lattice governs the moment-cumulant relation."""
+
+    CLASSICAL = "classical"
+    FREE = "free"
+    BOOLEAN = "boolean"
+
+    @classmethod
+    def parse(cls, name):
+        try:
+            return cls(str(name).lower())
+        except ValueError:
+            raise SizeError(f"unknown independence kind: {name!r}") from None
 
 
 @dataclass(frozen=True)
@@ -82,67 +105,65 @@ class CumulantSequence:
         return len(self.values)
 
 
-def _power_tables(mm, n_max):
-    """T[j][r] = sum over compositions i_1+..+i_j=r of m_{i_1}..m_{i_j}.
+def _transform(values, kind, to_moments):
+    """Cumulants k_1..k_N to moments (to_moments) or moments to cumulants.
 
-    mm = [m_0, m_1, ..., m_N]; computed by truncated convolution powers.
+    The type of the first value picks the path. Rational input runs the
+    recursion of the module docstring, exactly, and returns a list. Float
+    input of the free kind goes to the numpy kernels and returns a numpy
+    vector; other float input runs the recursion on Python floats.
     """
-    zero = mm[0] * 0
-    T = [[zero] * (n_max + 1) for _ in range(n_max + 1)]
-    T[0][0] = mm[0] * 0 + 1
-    for j in range(1, n_max + 1):
-        prev = T[j - 1]
-        cur = T[j]
-        for r in range(n_max + 1 - j):  # entries with r > n_max - j are never read
-            cur[r] = sum(mm[i] * prev[r - i] for i in range(r + 1))
-    return T
+    if not isinstance(values[0], Rational):
+        if kind is IndependenceKind.FREE:
+            v = np.asarray(values, dtype=float)
+            return _free_k2m_float(v) if to_moments else _free_m2k_float(v)
+        values = np.asarray(values, dtype=float).tolist()
+    n_max = len(values)
+    one = values[0] * 0 + 1  # unit in the input's arithmetic
+    m, k = [one], [None]
+    # read once: an Enum lookup per step made the float recursion a third slower
+    classical, free = kind is IndependenceKind.CLASSICAL, kind is IndependenceKind.FREE
+    if free:
+        powers = [[one] + [one * 0] * (n_max - 1) for _ in range(n_max + 1)]
+    for n in range(1, n_max + 1):
+        # explicit loops in index order: sum() over a generator costs twice as
+        # much on floats, and the search's float results stay bit for bit
+        rest = 0
+        if classical:
+            for j in range(1, n):
+                rest += comb(n - 1, j - 1) * k[j] * m[n - j]
+        elif free:
+            for j in range(1, n):
+                rest += k[j] * powers[j][n - j]
+        else:
+            for j in range(1, n):
+                rest += k[j] * m[n - j]
+        if to_moments:
+            k.append(values[n - 1])
+            m.append(k[n] + rest)
+        else:
+            m.append(values[n - 1])
+            k.append(m[n] - rest)
+        if free:
+            for j in range(1, n_max - n + 1):  # [z^n] M^j is read only while j + n <= n_max
+                powers[j][n] = sum(m[i] * powers[j - 1][n - i] for i in range(n + 1))
+    return m[1:] if to_moments else k[1:]
+
+
+def _plain(values):
+    """A transform's output as a tuple of Python numbers."""
+    return tuple(values.tolist() if isinstance(values, np.ndarray) else values)
 
 
 def cumulants_to_moments(kappa: CumulantSequence) -> MomentSequence:
     """Evaluate the lattice sums for kappa's kind; exact on rationals."""
-    k = (None,) + kappa.values  # 1-indexed
-    n_max = kappa.order
-    kind = kappa.kind
-    one = kappa.values[0] * 0 + 1  # unit in the input's arithmetic
-    m = [one]
-    if kind is IndependenceKind.FREE:
-        # T[j][r] filled column by column as each new moment becomes known
-        zero = one * 0
-        T = [[zero] * n_max for _ in range(n_max + 1)]
-        T[0][0] = one
-        for j in range(1, n_max + 1):
-            T[j][0] = one
-        for n in range(1, n_max + 1):
-            mn = sum(k[j] * T[j][n - j] for j in range(1, n + 1))
-            m.append(mn)
-            for j in range(1, n_max - n + 1):  # T[j][n] is read only when j + n <= n_max
-                T[j][n] = sum(m[i] * T[j - 1][n - i] for i in range(n + 1))
-        return MomentSequence(tuple(m[1:]))
-    for n in range(1, n_max + 1):
-        if kind is IndependenceKind.CLASSICAL:
-            mn = sum(comb(n - 1, j - 1) * k[j] * m[n - j] for j in range(1, n + 1))
-        else:
-            mn = sum(k[j] * m[n - j] for j in range(1, n + 1))
-        m.append(mn)
-    return MomentSequence(tuple(m[1:]))
+    return MomentSequence(_plain(_transform(kappa.values, IndependenceKind(kappa.kind), True)))
 
 
 def moments_to_cumulants(m: MomentSequence, kind) -> CumulantSequence:
-    """Invert the lattice sums recursively; exact for rational input."""
+    """Invert the lattice sums; exact on rationals."""
     kind = IndependenceKind(kind)
-    mm = [m.values[0] * 0 + 1] + list(m.values)  # [m_0, ..., m_N]
-    n_max = m.order
-    k = [None]
-    T = _power_tables(mm, n_max) if kind is IndependenceKind.FREE else None
-    for n in range(1, n_max + 1):
-        if kind is IndependenceKind.CLASSICAL:
-            rest = sum(comb(n - 1, j - 1) * k[j] * mm[n - j] for j in range(1, n))
-        elif kind is IndependenceKind.FREE:
-            rest = sum(k[j] * T[j][n - j] for j in range(1, n))
-        else:
-            rest = sum(k[j] * mm[n - j] for j in range(1, n))
-        k.append(mm[n] - rest)
-    return CumulantSequence(kind, tuple(k[1:]))
+    return CumulantSequence(kind, _plain(_transform(m.values, kind, False)))
 
 
 @lru_cache(maxsize=MAX_ORDER + 1)
@@ -197,28 +218,6 @@ def _free_m2k_float(m):
     k[0] = mm[1]
     k[1:] /= -np.arange(1, len(m))
     return k
-
-
-def _boolean_m2k_float(m):
-    mm = [1.0] + list(m)
-    k = [0.0]
-    for n in range(1, len(m) + 1):
-        rest = 0.0
-        for j in range(1, n):
-            rest += k[j] * mm[n - j]
-        k.append(mm[n] - rest)
-    return k[1:]
-
-
-def _boolean_k2m_float(kap):
-    k = [0.0] + list(kap)
-    m = [1.0]
-    for n in range(1, len(kap) + 1):
-        mn = 0.0
-        for j in range(1, n + 1):
-            mn += k[j] * m[n - j]
-        m.append(mn)
-    return m[1:]
 
 
 def convolve_moments(mx: MomentSequence, my: MomentSequence, kind) -> MomentSequence:

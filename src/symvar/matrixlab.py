@@ -30,10 +30,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .certificate import psi as _psi
-from .cumulants import MomentSequence, convolve_moments
-from .errors import CriticalCaseError, SizeError
-from .measures import DiscreteMeasure, bernoulli, moments_of
-from .partitions import IndependenceKind
+from .cumulants import IndependenceKind, MomentSequence, convolve_moments
+from .errors import SizeError
+from .measures import DiscreteMeasure, bernoulli, check_p, moments_of
 
 MAX_SIM_ORDER = 13
 # Largest matrix dimension. In the worst case (p = 1/2, two equal atoms) the
@@ -64,8 +63,7 @@ class MatrixModel:
     def __post_init__(self):
         _check_dim(self.n)
         _check_seed(self.seed)
-        if not 0 < self.p < 1:
-            raise SizeError(f"p must lie in (0,1), got {self.p}")
+        check_p(self.p, allow_critical=True)
 
     def rank(self):
         return int(round(self.p * self.n))
@@ -168,8 +166,7 @@ def test_proof_identity(model: MatrixModel, grid_free=True, func=None):
     """
     p = model.p
     if func is None:
-        if p == 0.5:
-            raise CriticalCaseError()
+        check_p(p)  # psi divides by 1 - 2p
         func = lambda t: _psi(t, p)  # noqa: E731
     q = 1.0 - p
     lam = _realize(model, rotate=grid_free)

@@ -13,10 +13,11 @@ from fractions import Fraction
 from math import isfinite
 
 from .cumulants import MAX_ORDER, MomentSequence
-from .errors import OrderError, SizeError, SymvarError
+from .errors import CriticalCaseError, OrderError, SizeError, SymvarError
 
 FLOAT_MERGE_TOL = 1e-10
 FLOAT_WEIGHT_TOL = 1e-12
+HALF = Fraction(1, 2)
 
 
 @dataclass(frozen=True)
@@ -102,6 +103,24 @@ def _num_str(x):
     sign = "-" if x.numerator < 0 else ""
     s = str(digits).rjust(k + 1, "0")
     return f"{sign}{s[:-k]}.{s[-k:]}"
+
+
+def check_p(p, allow_critical=False):
+    """p as a float if it is one, else as a Fraction; it must lie in (0, 1).
+
+    p = 1/2 is a CriticalCaseError unless allow_critical.
+    """
+    # each type compares with its own 1/2: psi runs this once per point
+    if isinstance(p, float):
+        critical = p == 0.5
+    else:
+        p = Fraction(p)
+        critical = p == HALF
+    if not 0 < p < 1:
+        raise SizeError(f"p must lie in (0,1), got {p}")
+    if critical and not allow_critical:
+        raise CriticalCaseError()
+    return p
 
 
 def bernoulli(p) -> DiscreteMeasure:

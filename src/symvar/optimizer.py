@@ -25,16 +25,13 @@ from scipy.optimize import linprog, minimize
 
 from .cumulants import (
     MAX_ORDER,
-    _boolean_k2m_float,
-    _boolean_m2k_float,
-    _free_k2m_float,
-    _free_m2k_float,
+    IndependenceKind,
+    _transform,
     convolve_moments,
     odd_moment_residual,
 )
-from .errors import CriticalCaseError, SizeError, SymvarError
-from .measures import DiscreteMeasure, bernoulli, moments_of, variance
-from .partitions import IndependenceKind
+from .errors import SizeError, SymvarError
+from .measures import DiscreteMeasure, bernoulli, check_p, moments_of, variance
 
 MAX_GRID_POINTS = 100_000
 MAX_RELAX_ORDER = (MAX_ORDER - 1) // 2  # odd orders 1..MAX_ORDER, as the residual reports
@@ -102,11 +99,14 @@ class SearchConfig:
 
 @dataclass(frozen=True)
 class OptResult:
-    """Solution report; objective is recomputed from the measure, not the solver."""
+    """Solution report; objective is recomputed from the measure, not the solver.
 
-    objective: float
-    measure: DiscreteMeasure
-    residual: float
+    An infeasible result has no measure, objective or residual (all None).
+    """
+
+    objective: float | None
+    measure: DiscreteMeasure | None
+    residual: float | None
     status: str  # "optimal" | "feasible" | "infeasible"
     evaluations: int = 0  # objective evaluations of the search; 0 for the LP
 
@@ -156,9 +156,7 @@ def classical_min_variance(p, grid: GridSpec, mode="exact_law", relax_order=None
     pinned to -p by the k=0 constraint) with HiGHS on sparse rows, and the
     reported objective is the variance of the returned measure.
     """
-    pf = float(p)
-    if not 0 < pf < 1:
-        raise SizeError(f"p must lie in (0,1), got {p}")
+    pf = check_p(float(p), allow_critical=True)
     g = np.array(grid.points())
     if mode == "exact_law":
         rows = _mirror_rows(g, pf)
@@ -179,7 +177,7 @@ def classical_min_variance(p, grid: GridSpec, mode="exact_law", relax_order=None
         raise SizeError("non-finite LP data")
     res = linprog(c, A_eq=A, b_eq=b, bounds=(0, None), method="highs", options=HIGHS_TOL)
     if res.status == 2:
-        return OptResult(float("nan"), None, float("nan"), "infeasible")
+        return OptResult(None, None, None, "infeasible")
     if res.status != 0:
         raise SymvarError(f"LP solver failed: {res.message}")
     keep = res.x > 1e-12
@@ -194,27 +192,14 @@ def classical_min_variance(p, grid: GridSpec, mode="exact_law", relax_order=None
 # Free / Boolean penalized search
 # ---------------------------------------------------------------------------
 
-def _check_noncritical(p, allow_critical):
-    pf = float(p)
-    if not 0 < pf < 1:
-        raise SizeError(f"p must lie in (0,1), got {p}")
-    if pf == 0.5 and not allow_critical:
-        raise CriticalCaseError()
-    return pf
-
-
 def _sum_odd_moments(locs, weights, e_kappa, kind, order):
     """Odd moments of e+y (a vector) and m2(y), for y supported on (locs, weights).
 
     Moments 1..order are transformed, so order must be at least 2; e_kappa
-    holds e's cumulants to that order.
+    holds e's cumulants to that order, as a numpy vector.
     """
     my = weights @ locs[:, None] ** np.arange(1, order + 1)
-    if kind is IndependenceKind.FREE:
-        ms = _free_k2m_float(e_kappa + _free_m2k_float(my))
-    else:
-        ky = _boolean_m2k_float(my.tolist())
-        ms = np.array(_boolean_k2m_float([a + b for a, b in zip(e_kappa, ky)]))
+    ms = np.asarray(_transform(e_kappa + _transform(my, kind, False), kind, True))
     return ms[0::2], my[1]
 
 
@@ -226,14 +211,13 @@ def nc_min_variance(p, kind, cfg: SearchConfig = SearchConfig(), allow_critical=
     Multi-start: cfg.restarts random initializations plus the known equality
     candidate y = -e in law. Deterministic for a fixed config.
     """
-    pf = _check_noncritical(p, allow_critical)
+    pf = check_p(float(p), allow_critical)
     kind = IndependenceKind(kind)
     if kind is IndependenceKind.CLASSICAL:
         raise SizeError("use classical_min_variance for the classical kind")
     order = max(cfg.max_odd_order, 2)  # m2(y) is the objective
     k = cfg.atom_budget
-    me = [pf] * order  # Bernoulli(p) has m_n = p for all n
-    e_kappa = _free_m2k_float(me) if kind is IndependenceKind.FREE else _boolean_m2k_float(me)
+    e_kappa = np.asarray(_transform([pf] * order, kind, False))  # Bernoulli(p): m_n = p
 
     def unpack(x):
         locs = np.minimum(np.maximum(x[:k], -3.0), 2.0)

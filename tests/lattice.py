@@ -1,35 +1,21 @@
-"""Set partition lattices for the three independence kinds.
+"""Set partition lattices for the three independence kinds: the tests' oracle.
 
 Classical independence sums cumulants over all partitions, free independence
 over non-crossing partitions, Boolean independence over interval partitions.
-This module enumerates and classifies those lattices; the counts are Bell(n),
-Catalan(n) and 2^(n-1).
+This module enumerates and classifies those lattices by brute force; the
+counts are Bell(n), Catalan(n) and 2^(n-1). The tests compare the cumulant
+recursions in symvar.cumulants against these lattice sums.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from functools import lru_cache
 
-from .errors import SizeError
+from symvar.cumulants import IndependenceKind
+from symvar.errors import SizeError
 
 MAX_GROUND_SET = 14
-
-
-class IndependenceKind(Enum):
-    """Which lattice governs the moment-cumulant relation."""
-
-    CLASSICAL = "classical"
-    FREE = "free"
-    BOOLEAN = "boolean"
-
-    @classmethod
-    def parse(cls, name):
-        try:
-            return cls(str(name).lower())
-        except ValueError:
-            raise SizeError(f"unknown independence kind: {name!r}") from None
 
 
 @dataclass(frozen=True)

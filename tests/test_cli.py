@@ -222,10 +222,22 @@ def test_negative_seed_exit_1(capsys, argv):
          "--relax-order", "6"],
         ["optimize", "--kind", "boolean", "--p", "0.3", "--seed", "1", "--atoms", "100000",
          "--restarts", "1"],
+        ["certify", "--p", "1e400", "--mode", "grid"],
+        ["simulate", "--p=-1e400", "--seed", "1", "--n", "20"],
     ],
 )
 def test_bad_inputs_exit_1(capsys, argv):
     _assert_json_error(capsys, argv)
+
+
+def test_infeasible_lp_prints_strict_json(capsys):
+    # no law on 0.1..0.9 can centre X + Y; objective and residual are null, not NaN
+    code = main(["optimize", "--kind", "classical", "--p", "0.3", "--grid=0.1:0.9:0.1",
+                 "--include", "0.5"])
+    obj = json.loads(capsys.readouterr().out, parse_constant=_reject_non_finite)
+    assert code == 0
+    assert obj["status"] == "infeasible"
+    assert obj["objective"] is None and obj["residual"] is None and obj["measure"] is None
 
 
 def _env_after_import(**preset):

@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from itertools import product
 from math import comb
 
 import numpy as np
@@ -8,9 +9,8 @@ from conftest import random_exact_measure, random_rational
 from symvar.cumulants import (
     MAX_ORDER,
     CumulantSequence,
+    IndependenceKind,
     MomentSequence,
-    _free_k2m_float,
-    _free_m2k_float,
     convolve_moments,
     cumulants_to_moments,
     moments_to_cumulants,
@@ -18,7 +18,7 @@ from symvar.cumulants import (
 )
 from symvar.errors import OrderError, SizeError
 from symvar.measures import bernoulli, dilate, moments_of, negate
-from symvar.partitions import IndependenceKind, enumerate_partitions
+from lattice import enumerate_partitions
 
 K = IndependenceKind
 KINDS = (K.CLASSICAL, K.FREE, K.BOOLEAN)
@@ -53,7 +53,10 @@ def test_round_trip_exact(rng):
             order = rng.randint(1, 12)
             m = MomentSequence(tuple(random_rational(rng) for _ in range(order)))
             k = moments_to_cumulants(m, kind)
-            assert cumulants_to_moments(k).values == m.values
+            back = cumulants_to_moments(k)
+            assert back.values == m.values
+            # exact input stays exact: a float would pass the equality above on dyadic values
+            assert all(type(v) is F for v in k.values + back.values)
 
 
 def test_bernoulli_free_cumulants_half():
@@ -81,6 +84,7 @@ def test_semicircle_and_gaussian_moments():
     kappa = (F(0), F(1), F(0), F(0), F(0), F(0))
     semi = cumulants_to_moments(CumulantSequence(K.FREE, kappa))
     assert semi.values == (0, 1, 0, 2, 0, 5)  # Catalan numbers
+    assert cumulants_to_moments(CumulantSequence("free", kappa)) == semi  # kind by name
     gauss = cumulants_to_moments(CumulantSequence(K.CLASSICAL, kappa))
     assert gauss.values == (0, 1, 0, 3, 0, 15)  # double factorials
 
@@ -190,14 +194,18 @@ def _assert_close(got, exact, rel):
 
 
 def test_free_float_kernels_match_exact_transforms():
-    # the exact transforms are prefix-consistent (entry n depends on entries
-    # 1..n only), so one exact call at MAX_ORDER serves every float order
-    for locs, weights in _random_float_laws(200):
-        m = weights @ locs[:, None] ** np.arange(1, MAX_ORDER + 1)
-        exact_k = moments_to_cumulants(MomentSequence(tuple(map(F, m))), K.FREE).values
-        k = _free_m2k_float(m)
-        exact_m = cumulants_to_moments(CumulantSequence(K.FREE, tuple(map(F, k)))).values
+    # float input takes the float path of the public transforms (the numpy
+    # kernels for the free kind); the exact transforms are prefix-consistent
+    # (entry n depends on entries 1..n only), so one exact call at MAX_ORDER
+    # serves every float order
+    for kind, (locs, weights) in product(KINDS, _random_float_laws(200)):
+        m = tuple(weights @ locs[:, None] ** np.arange(1, MAX_ORDER + 1))
+        exact_k = moments_to_cumulants(MomentSequence(tuple(map(F, m))), kind).values
+        k = moments_to_cumulants(MomentSequence(m), kind).values
+        exact_m = cumulants_to_moments(CumulantSequence(kind, tuple(map(F, k)))).values
         for order in range(1, MAX_ORDER + 1):
-            assert len(_free_m2k_float(m[:order])) == order
-            _assert_close(_free_m2k_float(m[:order]), exact_k[:order], 1e-6)
-            _assert_close(_free_k2m_float(k[:order]), exact_m[:order], 1e-9)
+            got_k = moments_to_cumulants(MomentSequence(m[:order]), kind).values
+            got_m = cumulants_to_moments(CumulantSequence(kind, k[:order])).values
+            assert len(got_k) == len(got_m) == order
+            _assert_close(got_k, exact_k[:order], 1e-6)
+            _assert_close(got_m, exact_m[:order], 1e-9)

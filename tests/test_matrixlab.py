@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from symvar import matrixlab as ml
-from symvar.cumulants import convolve_moments
+from symvar.cumulants import IndependenceKind, convolve_moments
 from symvar.errors import CriticalCaseError, SizeError
 from symvar.measures import DiscreteMeasure, bernoulli, moments_of
-from symvar.partitions import IndependenceKind
 
 Y_LAW = DiscreteMeasure.from_atoms([(-1.0, 0.3), (0.0, 0.7)], mode="float")
 THREE_ATOM = DiscreteMeasure.from_atoms([(-1.0, 0.2), (-0.5, 0.2), (0.0, 0.6)], mode="float")

@@ -5,7 +5,7 @@ import pytest
 from scipy.optimize import OptimizeResult, minimize
 
 from symvar import optimizer
-from symvar.cumulants import _boolean_m2k_float, _free_m2k_float
+from symvar.cumulants import IndependenceKind, _transform
 from symvar.errors import CriticalCaseError, SizeError, SymvarError
 from symvar.measures import variance
 from symvar.optimizer import (
@@ -17,7 +17,6 @@ from symvar.optimizer import (
     classical_min_variance,
     nc_min_variance,
 )
-from symvar.partitions import IndependenceKind
 
 GRID = GridSpec(-2.0, 1.0, 0.25)
 
@@ -176,9 +175,8 @@ def test_opt_result_json():
 def test_sum_odd_moments_vanish_at_equality_case(kind, p):
     # y = -e in law symmetrizes e in every sense: all odd moments of e + y vanish
     kind = IndependenceKind(kind)
-    m2k = _free_m2k_float if kind is IndependenceKind.FREE else _boolean_m2k_float
     for order in range(2, 14):
-        e_kappa = m2k([p] * order)
+        e_kappa = np.asarray(_transform([p] * order, kind, False))
         odd, m2 = optimizer._sum_odd_moments(
             np.array([-1.0, 0.0]), np.array([p, 1 - p]), e_kappa, kind, order
         )

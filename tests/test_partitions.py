@@ -2,14 +2,9 @@ from math import comb
 
 import pytest
 
+from lattice import Partition, enumerate_partitions, is_interval, is_noncrossing
+from symvar.cumulants import IndependenceKind
 from symvar.errors import SizeError
-from symvar.partitions import (
-    IndependenceKind,
-    Partition,
-    enumerate_partitions,
-    is_interval,
-    is_noncrossing,
-)
 
 K = IndependenceKind
 
