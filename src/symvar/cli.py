@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -167,8 +168,24 @@ def _cmd_simulate(args):
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose refusals are SymvarErrors, printed as JSON errors.
+
+    A token that starts with a dash and a digit, such as the grid -2:1:0.5 or
+    the p -1/3, is an option's value: argparse's own test takes only plain
+    negative numbers as values.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
+    def error(self, message):
+        raise SymvarError(message)
+
+
 def build_parser():
-    ap = argparse.ArgumentParser(prog="symvar")
+    ap = _Parser(prog="symvar")
     sub = ap.add_subparsers(dest="subcommand", required=True)
 
     def common(sp):
@@ -226,36 +243,12 @@ def build_parser():
     return ap
 
 
-def _join_dashed_values(argv):
-    """Rewrite ["--grid", "-2:1:0.5"] as ["--grid=-2:1:0.5"].
-
-    argparse refuses option values with a leading dash; grids and include
-    lists legitimately start with negative numbers.
-    """
-    joined = []
-    skip = False
-    for i, tok in enumerate(argv):
-        if skip:
-            skip = False
-            continue
-        if tok in ("--grid", "--include", "--dims") and i + 1 < len(argv):
-            joined.append(f"{tok}={argv[i + 1]}")
-            skip = True
-        else:
-            joined.append(tok)
-    return joined
-
-
 def main(argv=None):
-    ap = build_parser()
-    if argv is None:
-        argv = sys.argv[1:]
     try:
-        args = ap.parse_args(_join_dashed_values(list(argv)))
-    except SystemExit as exc:
-        return 1 if exc.code not in (0, None) else 0
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
+    except SystemExit as exc:  # --help
+        return exc.code or 0
     except CriticalCaseError as exc:
         print(json.dumps({"error": str(exc), "hint": "p=1/2 is an open problem; pick p != 1/2"}))
         return 2

@@ -22,18 +22,25 @@ live in the triangle powers[j][r] = [z^r] M^j, filled only where j + r <= N
 known.
 On exact rationals (fractions.Fraction) every result is exact.
 
-Float input to the free kind goes instead to numpy kernels, chosen by value
-type; the search evaluates them tens of thousands of times, and there they
-cost about half as much as the triangle. They are Lagrange inversion
-(Nica-Speicher, Lectures on the Combinatorics of Free Probability, Lect. 16):
-with H(w) = 1 + sum_n k_n w^n,
+Float input to the free and Boolean kinds goes instead to numpy kernels,
+chosen by value type. They take one sequence per row of an (R, N) array (a
+single sequence is the one-row case), so the search evaluates every trial
+point of a Nelder-Mead step in one call. The free kernels are Lagrange
+inversion (Nica-Speicher, Lectures on the Combinatorics of Free Probability,
+Lect. 16): with H(w) = 1 + sum_n k_n w^n,
 
   m_n = [w^n] H(w)^(n+1) / (n+1),   k_n = -[t^n] M(t)^(1-n) / (n-1)  (n >= 2),
 
-each a diagonal of successive powers, so N mat-vecs with a lower-triangular
-Toeplitz matrix give all N entries; 1/M is one unit-triangular solve. On
-Fractions the triangle is the faster one (about 5x per round trip), so the
-exact path keeps it.
+each a diagonal of successive powers, so N stacked mat-vecs (one matmul per
+power, all rows at once) with lower-triangular Toeplitz matrices give all N
+entries. The Boolean kernels are one series reciprocal each, from
+M(z) = 1/(1 - K(z)) with K(z) = sum_n k_n z^n:
+
+  M = 1/(1 - K),   K = 1 - 1/M.
+
+1/M is forward substitution, vectorized over the rows. On Fractions the
+recursion is the faster one (about 5x per round trip for the free kind), so
+the exact path keeps it; classical float input runs it on Python floats.
 """
 
 from __future__ import annotations
@@ -46,7 +53,6 @@ from math import comb
 from numbers import Rational
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import OrderError, SizeError
 
@@ -110,14 +116,17 @@ def _transform(values, kind, to_moments):
 
     The type of the first value picks the path. Rational input runs the
     recursion of the module docstring, exactly, and returns a list. Float
-    input of the free kind goes to the numpy kernels and returns a numpy
-    vector; other float input runs the recursion on Python floats.
+    input of the free or Boolean kind goes to the numpy kernels, which map
+    each row of an (R, N) array (or a single sequence) to a row of the
+    result; classical float input runs the recursion on Python floats.
     """
     if not isinstance(values[0], Rational):
+        v = np.asarray(values, dtype=float)
         if kind is IndependenceKind.FREE:
-            v = np.asarray(values, dtype=float)
             return _free_k2m_float(v) if to_moments else _free_m2k_float(v)
-        values = np.asarray(values, dtype=float).tolist()
+        if kind is IndependenceKind.BOOLEAN:
+            return _boolean_float(v, to_moments)
+        values = v.tolist()
     n_max = len(values)
     one = values[0] * 0 + 1  # unit in the input's arithmetic
     m, k = [one], [None]
@@ -176,48 +185,63 @@ def _toeplitz_index(n):
 
 
 def _toeplitz(s):
-    """Lower-triangular Toeplitz matrix of the series s: multiplying by it is
-    multiplication by s, truncated at the length of s."""
-    return np.append(s, 0.0)[_toeplitz_index(len(s))]
+    """Lower-triangular Toeplitz matrix of each row of s: multiplying by it is
+    multiplication by that series, truncated at the row length."""
+    pad = np.concatenate((s, np.zeros(s.shape[:-1] + (1,))), axis=-1)
+    return pad[..., _toeplitz_index(s.shape[-1])]
+
+
+def _unit_series(tail):
+    """Rows (1, tail_1, ..., tail_N) of power series with constant term 1."""
+    return np.concatenate((np.ones(tail.shape[:-1] + (1,)), tail), axis=-1)
+
+
+def _reciprocal(s):
+    """1/s(t) truncated at the row length, per row; s_0 = 1 (forward substitution)."""
+    r = np.zeros_like(s)
+    r[..., 0] = 1.0
+    for n in range(1, s.shape[-1]):
+        r[..., n] = -(s[..., None, n:0:-1] @ r[..., :n, None])[..., 0, 0]
+    return r
 
 
 def _power_diagonal(s, shift):
-    """c_n = [t^n] s(t)^(n + shift) for n = 1..N, where s = (1, s_1, ..., s_N).
+    """c_n = [t^n] s(t)^(n + shift) for n = 1..N, per row of s = (1, s_1, ..., s_N).
 
-    Each Toeplitz mat-vec raises the power by one while the coefficient read
-    moves up by one, so N mat-vecs give the whole diagonal.
+    Each stacked Toeplitz mat-vec raises the power by one while the
+    coefficient read moves up by one, so N mat-vecs give the whole diagonal.
     """
     lt = _toeplitz(s)
-    q = np.zeros(len(s))
-    q[0] = 1.0
+    q = np.zeros(s.shape + (1,))
+    q[..., 0, 0] = 1.0
     for _ in range(1 + shift):
-        q = lt.dot(q)
-    c = np.empty(len(s) - 1)
-    for n in range(1, len(s)):
-        c[n - 1] = q[n]
-        q = lt.dot(q)
+        q = lt @ q
+    c = np.empty(s.shape[:-1] + (s.shape[-1] - 1,))
+    c[..., 0] = q[..., 1, 0]
+    for n in range(2, s.shape[-1]):
+        q = lt @ q
+        c[..., n - 1] = q[..., n, 0]
     return c
 
 
 def _free_k2m_float(kap):
-    """Free moments m_1..m_N from cumulants: m_n = [w^n] (1 + K(w))^(n+1) / (n+1)."""
-    h = np.concatenate(([1.0], kap))
-    return _power_diagonal(h, 1) / np.arange(2, len(h) + 1)
+    """Free moments from cumulants, per row: m_n = [w^n] (1 + K(w))^(n+1) / (n+1)."""
+    return _power_diagonal(_unit_series(kap), 1) / np.arange(2, kap.shape[-1] + 2)
 
 
 def _free_m2k_float(m):
-    """Free cumulants k_1..k_N from moments: k_n = -[t^n] M(t)^(1-n) / (n-1) for n >= 2.
-
-    The series 1/M comes from one unit-triangular Toeplitz solve.
-    """
-    mm = np.concatenate(([1.0], m))
-    e0 = np.zeros(len(mm))
-    e0[0] = 1.0
-    r = solve_triangular(_toeplitz(mm), e0, lower=True, unit_diagonal=True, check_finite=False)
-    k = _power_diagonal(r, -1)
-    k[0] = mm[1]
-    k[1:] /= -np.arange(1, len(m))
+    """Free cumulants from moments, per row: k_n = -[t^n] M(t)^(1-n) / (n-1) for n >= 2."""
+    k = _power_diagonal(_reciprocal(_unit_series(m)), -1)
+    k[..., 0] = m[..., 0]
+    k[..., 1:] /= -np.arange(1, m.shape[-1])
     return k
+
+
+def _boolean_float(v, to_moments):
+    """Boolean transform per row, one series reciprocal: M = 1/(1 - K), K = 1 - 1/M."""
+    if to_moments:
+        return _reciprocal(_unit_series(-v))[..., 1:]
+    return -_reciprocal(_unit_series(v))[..., 1:]
 
 
 def convolve_moments(mx: MomentSequence, my: MomentSequence, kind) -> MomentSequence:

@@ -7,10 +7,15 @@ simplex). For free and Boolean independence the moments of e+y are
 polynomial in the moments of y (through the cumulant transforms), so we run
 a multi-start penalized Nelder-Mead over atom locations and softmax weights;
 the theorems say the answer is p, and the search doubles as a falsifier.
-One objective evaluation is vectorized: y's moments come from one matrix
-product, the free transforms are numpy power-series kernels, and the penalty
-and box terms are dot products. OptResult.evaluations counts the objective
-evaluations of all Nelder-Mead runs.
+
+The starts run in lockstep: every start is a lane of one Nelder-Mead loop
+that follows scipy's method step for step, and each iteration evaluates the
+four trial points of every lane in one batched objective call (y's moments
+from one cumprod and one stacked matmul, the 2-D cumulant kernels, the
+penalty and box terms as row-wise dot products). The best point is then
+projected onto the odd-cumulant equations by least squares.
+OptResult.evaluations counts every row evaluated: trial points whether
+chosen or not, the candidates, the projection and the final report.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from math import isfinite
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize import linprog, minimize
+from scipy.optimize import least_squares, linprog
 
 from .cumulants import (
     MAX_ORDER,
@@ -39,6 +44,9 @@ MAX_RELAX_ORDER = (MAX_ORDER - 1) // 2  # odd orders 1..MAX_ORDER, as the residu
 # optimum on a 100k-point grid; LP results are checked to 1e-9
 HIGHS_TOL = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
 MAX_ATOMS = 64  # Nelder-Mead keeps a (2k+1) x 2k simplex for k atoms
+# the lockstep search evaluates every lane's initial simplex in one call:
+# about 2 MB per lane at MAX_ATOMS, so at most ~250 MB for MAX_RESTARTS + 1 lanes
+MAX_RESTARTS = 128
 
 
 @dataclass(frozen=True)
@@ -91,6 +99,8 @@ class SearchConfig:
             raise SizeError("penalty schedule must be strictly increasing and positive")
         if self.restarts < 1 or self.atom_budget < 1:
             raise SizeError("restarts and atom_budget must be positive")
+        if self.restarts > MAX_RESTARTS:
+            raise SizeError(f"restarts must be at most {MAX_RESTARTS}, got {self.restarts}")
         if self.atom_budget > MAX_ATOMS:
             raise SizeError(f"atom_budget must be at most {MAX_ATOMS}, got {self.atom_budget}")
         if self.seed < 0:
@@ -164,9 +174,23 @@ def classical_min_variance(p, grid: GridSpec, mode="exact_law", relax_order=None
         if relax_order is None or not 0 <= relax_order <= MAX_RELAX_ORDER:
             raise SizeError(f"moment_relax needs relax_order in 0..{MAX_RELAX_ORDER}")
         n = 2 * np.arange(relax_order + 1)[:, None] + 1
-        with np.errstate(over="ignore"):
-            # m_n(X+Y) = (1-p) m_n(Y) + p m_n(Y+1)
-            rows = sparse.csr_array((1.0 - pf) * g**n + pf * (g + 1.0) ** n)
+        t = np.array(grid.must_include)
+        with np.errstate(over="ignore", invalid="ignore"):
+            # m_n(X+Y) = (1-p) m_n(Y) + p m_n(Y+1), on the grid and at the included points
+            dense = (1.0 - pf) * g**n + pf * (g + 1.0) ** n
+            included = np.abs((1.0 - pf) * t**n + pf * (t + 1.0) ** n).max(axis=1, initial=0.0)
+            largest = np.abs(dense).max(axis=1)
+        # a coefficient below the solver tolerance times its row's largest entry
+        # is lost, whoever scales the row (scaled rows gave objective 0.0); a
+        # grid on which a row loses every included point's coefficient is refused
+        tiny = (included > 0) & (included < HIGHS_TOL["primal_feasibility_tolerance"] * largest)
+        if np.isfinite(largest).all() and tiny.any():
+            raise SizeError(
+                f"grid too wide for relax_order {relax_order}: moment rows reach "
+                f"{largest.max():.3g}, so the included points' coefficients fall below "
+                "the solver tolerance"
+            )
+        rows = sparse.csr_array(dense)
     else:
         raise SizeError(f"unknown mode {mode!r}")
     A = sparse.vstack([np.ones((1, len(g))), rows], format="csr")
@@ -192,15 +216,87 @@ def classical_min_variance(p, grid: GridSpec, mode="exact_law", relax_order=None
 # Free / Boolean penalized search
 # ---------------------------------------------------------------------------
 
+# reflection, expansion, outside and inside contraction: a * xbar - b * worst
+_TRIAL_STEPS = np.array([[2.0, 1.0], [3.0, 2.0], [1.5, 0.5], [0.5, -0.5]])
+
+
+def _sorted(sim, fsim):
+    """Each lane's vertices in order of increasing value, best first."""
+    order = np.argsort(fsim, axis=1)
+    lane = np.arange(len(fsim))[:, None]
+    return sim[lane, order], fsim[lane, order]
+
+
+def _nelder_mead(fun, x0, maxiter, xatol, fatol):
+    """Nelder-Mead from every row of x0 at once, each row a lane of one lockstep loop.
+
+    Every lane takes the steps of scipy's non-adaptive method
+    (minimize(method="Nelder-Mead") with these maxiter, xatol and fatol): the
+    same initial simplex, coefficients 1 / 2 / 1/2 / 1/2, choices, sorting and
+    stopping test. fun maps an (R, n) array to R values. Per iteration one
+    call evaluates all four trial points of every live lane, chosen from or
+    not, and one more call evaluates the shrunk vertices of the lanes that
+    shrink. A lane whose simplex meets the xatol/fatol test stops being
+    updated. Returns each lane's best vertex, its value and the number of
+    evaluations scipy would have made for it.
+    """
+    lanes, n = x0.shape
+    sim = np.repeat(x0[:, None, :], n + 1, axis=1)
+    diag = np.arange(n)
+    sim[:, diag + 1, diag] = np.where(x0 != 0, 1.05 * x0, 0.00025)
+    s, f = _sorted(sim, fun(sim.reshape(-1, n)).reshape(lanes, n + 1))
+    x_best, f_best = np.empty_like(x0), np.empty(lanes)
+    nfev = np.full(lanes, n + 1)
+    live = np.arange(lanes)  # the lanes s and f hold, in order
+    for _ in range(maxiter - 1):  # scipy counts the initial simplex as iteration 1
+        done = (np.abs(s[:, 1:] - s[:, :1]).max(axis=(1, 2)) <= xatol) & (
+            np.abs(f[:, :1] - f[:, 1:]).max(axis=1) <= fatol
+        )
+        if done.any():
+            x_best[live[done]], f_best[live[done]] = s[done, 0], f[done].min(axis=1)
+            live, s, f = live[~done], s[~done], f[~done]
+            if not live.size:
+                return x_best, f_best, nfev
+        xbar = s[:, :-1].sum(axis=1) / n
+        trial = _TRIAL_STEPS[:, :1] * xbar[:, None] - _TRIAL_STEPS[:, 1:] * s[:, -1:]
+        ft = fun(trial.reshape(-1, n)).reshape(-1, 4)
+        fr, fe, fc, fcc = ft.T
+        expand = fr < f[:, 0]
+        reflect = ~expand & (fr < f[:, -2])
+        outside = ~expand & ~reflect & (fr < f[:, -1])
+        inside = ~expand & ~reflect & ~outside
+        pick = np.full(len(live), -1)  # index into the trial points; -1 shrinks
+        pick[outside & (fc <= fr)] = 2
+        pick[inside & (fcc < f[:, -1])] = 3
+        pick[expand | reflect] = 0
+        pick[expand & (fe < fr)] = 1
+        moved, shrink = np.flatnonzero(pick >= 0), np.flatnonzero(pick < 0)
+        s[moved, -1] = trial[moved, pick[moved]]
+        f[moved, -1] = ft[moved, pick[moved]]
+        if shrink.size:
+            s[shrink, 1:] = s[shrink, :1] + 0.5 * (s[shrink, 1:] - s[shrink, :1])
+            f[shrink, 1:] = fun(s[shrink, 1:].reshape(-1, n)).reshape(-1, n)
+        nfev[live] += 1 + ~reflect + n * (pick < 0)
+        s, f = _sorted(s, f)
+    x_best[live], f_best[live] = s[:, 0], f.min(axis=1)
+    return x_best, f_best, nfev
+
+
+def _moments(locs, weights, order):
+    """Moments 1..order of the laws (locs, weights), one per row of shape (..., k)."""
+    powers = np.cumprod(np.repeat(locs[..., None], order, axis=-1), axis=-1)
+    return (weights[..., None, :] @ powers)[..., 0, :]
+
+
 def _sum_odd_moments(locs, weights, e_kappa, kind, order):
-    """Odd moments of e+y (a vector) and m2(y), for y supported on (locs, weights).
+    """Odd moments of e+y and m2(y), per row, for y supported on (locs, weights).
 
     Moments 1..order are transformed, so order must be at least 2; e_kappa
     holds e's cumulants to that order, as a numpy vector.
     """
-    my = weights @ locs[:, None] ** np.arange(1, order + 1)
-    ms = np.asarray(_transform(e_kappa + _transform(my, kind, False), kind, True))
-    return ms[0::2], my[1]
+    my = _moments(locs, weights, order)
+    ms = _transform(e_kappa + _transform(my, kind, False), kind, True)
+    return ms[..., 0::2], my[..., 1]
 
 
 def nc_min_variance(p, kind, cfg: SearchConfig = SearchConfig(), allow_critical=False) -> OptResult:
@@ -209,7 +305,10 @@ def nc_min_variance(p, kind, cfg: SearchConfig = SearchConfig(), allow_critical=
     Penalized Nelder-Mead over atom locations in [-3,2] and softmax weights,
     with an increasing penalty schedule on the squared odd moments of e+y.
     Multi-start: cfg.restarts random initializations plus the known equality
-    candidate y = -e in law. Deterministic for a fixed config.
+    candidate y = -e in law, all run in lockstep (one batched objective call
+    per Nelder-Mead iteration). The best point is then projected onto the
+    odd-cumulant equations k_odd(y) = -k_odd(e) by least squares and kept if
+    that lowers its residual. Deterministic for a fixed config.
     """
     pf = check_p(float(p), allow_critical)
     kind = IndependenceKind(kind)
@@ -217,93 +316,92 @@ def nc_min_variance(p, kind, cfg: SearchConfig = SearchConfig(), allow_critical=
         raise SizeError("use classical_min_variance for the classical kind")
     order = max(cfg.max_odd_order, 2)  # m2(y) is the objective
     k = cfg.atom_budget
-    e_kappa = np.asarray(_transform([pf] * order, kind, False))  # Bernoulli(p): m_n = p
+    e_kappa = _transform(np.full(order, pf), kind, False)  # Bernoulli(p): m_n = p
+    evaluations = 0  # rows evaluated, by the search, the projection and the report
+
+    def odd_moments(locs, weights):
+        nonlocal evaluations
+        evaluations += len(locs)
+        return _sum_odd_moments(locs, weights, e_kappa, kind, order)
 
     def unpack(x):
-        locs = np.minimum(np.maximum(x[:k], -3.0), 2.0)
-        weights = np.exp(x[k:] - x[k:].max())
-        weights /= weights.sum()
+        locs = np.minimum(np.maximum(x[:, :k], -3.0), 2.0)
+        weights = np.exp(x[:, k:] - x[:, k:].max(axis=1, keepdims=True))
+        weights /= weights.sum(axis=1, keepdims=True)
         return locs, weights
 
-    def objective(x, lam):
-        locs, weights = unpack(x)
-        odd, m2 = _sum_odd_moments(locs, weights, e_kappa, kind, order)
-        d = x[:k] - locs
-        return m2 + lam * (odd @ odd) + 10.0 * (d @ d)
+    def objective(lam):
+        def f(x):
+            locs, weights = unpack(x)
+            odd, m2 = odd_moments(locs, weights)
+            d = x[:, :k] - locs
+            return m2 + lam * np.einsum("ij,ij->i", odd, odd) + 10.0 * np.einsum("ij,ij->i", d, d)
 
-    rng = np.random.default_rng(cfg.seed)
-    starts = []
-    # seeded equality candidate: atoms at -1 and 0 with weights p, q
-    x0 = np.zeros(2 * k)
-    x0[:k] = np.concatenate([[-1.0, 0.0], rng.uniform(-3, 2, k - 2)]) if k >= 2 else [-1.0]
-    logit = np.full(k, -30.0)
-    logit[0] = np.log(pf)
-    if k >= 2:
-        logit[1] = np.log(1 - pf)
-    x0[k:] = logit
-    starts.append(x0)
-    for _ in range(cfg.restarts):
-        xr = np.empty(2 * k)
-        xr[:k] = rng.uniform(-3, 2, k)
-        xr[k:] = rng.normal(0, 1, k)
-        starts.append(xr)
+        return f
 
     def evaluate(x):
-        locs, weights = unpack(x)
-        odd, m2 = _sum_odd_moments(locs, weights, e_kappa, kind, order)
-        return x, m2, np.abs(odd).max()
+        odd, m2 = odd_moments(*unpack(x))
+        return x, m2, np.abs(odd).max(axis=1)
+
+    rng = np.random.default_rng(cfg.seed)
+    starts = np.empty((cfg.restarts + 1, 2 * k))
+    # seeded equality candidate: atoms at -1 and 0 with weights p, q
+    starts[0, :k] = np.concatenate([[-1.0, 0.0], rng.uniform(-3, 2, k - 2)]) if k >= 2 else [-1.0]
+    starts[0, k:] = -30.0
+    starts[0, k] = np.log(pf)
+    if k >= 2:
+        starts[0, k + 1] = np.log(1 - pf)
+    for xr in starts[1:]:
+        xr[:k] = rng.uniform(-3, 2, k)
+        xr[k:] = rng.normal(0, 1, k)
 
     # the initial points themselves are candidates: the seeded start is the
     # theorem's equality case and must never be lost to solver drift
-    candidates = [evaluate(x) for x in starts]
-
-    lam_final = cfg.penalty_weights[-1]
-    evaluations = 0
-    explored = []
-    for x in starts:
-        xcur = x.copy()
-        for lam in cfg.penalty_weights:
-            res = minimize(
-                objective,
-                xcur,
-                args=(lam,),
-                method="Nelder-Mead",
-                options={"maxiter": 60 * k, "xatol": 1e-7, "fatol": 1e-10},
-            )
-            evaluations += res.nfev
-            xcur = res.x
-        explored.append(evaluate(xcur))
-    candidates.extend(explored)
+    candidates = [evaluate(starts)]
+    x = starts
+    for lam in cfg.penalty_weights:
+        x = _nelder_mead(objective(lam), x, 60 * k, 1e-7, 1e-10)[0]
+    explored = evaluate(x)
+    candidates.append(explored)
 
     # polish the most promising explored points hard at the final penalty
-    explored.sort(key=lambda c: (c[2] >= 1e-6, c[1] + lam_final * c[2] ** 2))
-    for x, _, _ in explored[:4]:
-        res = minimize(
-            objective,
-            x,
-            args=(lam_final,),
-            method="Nelder-Mead",
-            options={"maxiter": 300 * k, "xatol": 1e-10, "fatol": 1e-14},
-        )
-        evaluations += res.nfev
-        candidates.append(evaluate(res.x))
+    lam_final = cfg.penalty_weights[-1]
+    _, m2, res = explored
+    promising = np.lexsort((m2 + lam_final * res**2, res >= 1e-6))[:4]
+    polished = _nelder_mead(objective(lam_final), x[promising], 300 * k, 1e-10, 1e-14)[0]
+    candidates.append(evaluate(polished))
 
-    feasible = [c for c in candidates if c[2] < 1e-6]
-    if feasible:
-        best = min(feasible, key=lambda c: (c[1], c[2]))
-        status = "optimal"
-    else:
-        best = min(candidates, key=lambda c: (c[2], c[1]))
-        status = "feasible"
-    locs, weights = unpack(best[0])
-    keep = weights > 1e-12
-    wkeep = weights[keep] / weights[keep].sum()
-    mu = DiscreteMeasure.from_atoms(list(zip(locs[keep], wkeep)), mode="float")
-    odd, m2 = _sum_odd_moments(
-        np.array([t for t, _ in mu.atoms]),
-        np.array([w for _, w in mu.atoms]),
-        e_kappa,
-        kind,
-        order,
-    )
-    return OptResult(float(m2), mu, float(np.abs(odd).max()), status, int(evaluations))
+    xs, m2, res = (np.concatenate(c) for c in zip(*candidates))
+    feasible = res < 1e-6
+    best = np.lexsort((res, m2, ~feasible))[0] if feasible.any() else np.lexsort((m2, res))[0]
+
+    def report(locs, weights):
+        keep = weights > 1e-12
+        mu = DiscreteMeasure.from_atoms(
+            list(zip(locs[keep], weights[keep] / weights[keep].sum())), mode="float"
+        )
+        odd, m2 = odd_moments(*(np.array([v]) for v in zip(*mu.atoms)))
+        return mu, float(m2[0]), float(np.abs(odd).max())
+
+    # projection in (locations, weights): a weight can reach its bound 0,
+    # which a softmax logit reaches only at -inf
+    def gap(z):
+        nonlocal evaluations
+        evaluations += len(z)
+        ky = _transform(_moments(z[:, :k], z[:, k:], order), kind, False)
+        return np.hstack([(ky + e_kappa)[:, 0::2], z[:, k:].sum(axis=1, keepdims=True) - 1.0])
+
+    def gap_jacobian(z):
+        h = 1.49e-8 * np.maximum(1.0, np.abs(z))  # forward differences in one batched call
+        g = gap(np.vstack([z, z + np.diag(h)]))
+        return ((g[1:] - g[0]) / h[:, None]).T
+
+    z0 = np.concatenate(unpack(xs[best][None]), axis=1)[0]
+    bounds = (np.r_[np.full(k, -3.0), np.zeros(k)], np.r_[np.full(k, 2.0), np.full(k, np.inf)])
+    # scipy's default tolerances (1e-8) stop it at once: the gap is already ~1e-8
+    projected = least_squares(lambda z: gap(z[None])[0], z0, jac=gap_jacobian, bounds=bounds,
+                              method="trf", ftol=1e-15, xtol=1e-15, gtol=1e-15)
+    mu, m2, residual = min(report(*np.split(z0, 2)), report(*np.split(projected.x, 2)),
+                           key=lambda r: r[2])
+    status = "optimal" if residual < 1e-6 else "feasible"
+    return OptResult(m2, mu, residual, status, int(evaluations))

@@ -8,6 +8,7 @@ import pytest
 
 import symvar
 from symvar.matrixlab import MAX_SIM_DIM
+from symvar.optimizer import MAX_RESTARTS
 
 from symvar.cli import main
 from symvar.measures import DiscreteMeasure
@@ -224,6 +225,18 @@ def test_negative_seed_exit_1(capsys, argv):
          "--restarts", "1"],
         ["certify", "--p", "1e400", "--mode", "grid"],
         ["simulate", "--p=-1e400", "--seed", "1", "--n", "20"],
+        ["optimize", "--kind", "boolean", "--p", "0.3", "--seed", "1", "--atoms", "2",
+         "--restarts", str(MAX_RESTARTS + 1)],
+        ["optimize", "--kind", "classical", "--p", "0.3", "--grid=-1e30:1e30:1e28",
+         "--relax-order", "1"],
+        # refusals by argparse itself: a bad value, a missing or unknown option
+        ["certify", "--p", "-1/3"],
+        ["certify", "--p", "-inf"],
+        ["certify"],
+        ["certify", "--p", "0.3", "--frobnicate"],
+        ["convolve", "--kind", "free", "--x", FLOAT_NEG_BERN, "--y", FLOAT_NEG_BERN,
+         "--order", "x"],
+        ["simulate", "--p", "0.3", "--experiment", "eigen"],
     ],
 )
 def test_bad_inputs_exit_1(capsys, argv):
@@ -289,9 +302,14 @@ def test_bad_measure_json_exit_1(capsys):
 
 
 def test_unknown_subcommand_rejected(capsys):
-    code = main(["frobnicate"])
-    capsys.readouterr()
-    assert code == 1
+    _assert_json_error(capsys, ["frobnicate"])
+
+
+def test_dashed_values_as_separate_tokens(capsys):
+    code, out = run(capsys, "optimize", "--kind", "classical", "--p", "0.3",
+                    "--grid", "-2:1:0.5", "--include", "-1,0")
+    assert code == 0
+    assert json.loads(out)["objective"] == pytest.approx(0.21, abs=1e-9)
 
 
 def test_unknown_kind_exit_1(capsys):

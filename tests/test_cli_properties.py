@@ -3,7 +3,8 @@
 For convolve, symmetry, certify and the classical optimize, valid and
 invalid values alike must end in strict JSON on stdout (no NaN or
 Infinity), an exit code in {0, 1, 2} and no traceback. Options are passed
-as --name=value, so argparse itself accepts every generated argv; sizes are
+as --name=value or as two tokens, so argparse sees values that start with a
+dash or are not numbers; its refusals must be JSON errors too. Sizes are
 small, so no example allocates much or runs long.
 """
 
@@ -82,11 +83,20 @@ def measures(draw):
     ))
 
 
+def _option(key, value, joined):
+    flag = f"--{key.replace('_', '-')}"
+    return [f"{flag}={value}"] if joined else [flag, str(value)]
+
+
 def _command(name, **options):
-    """argv of one subcommand, each option passed as --key=value; None leaves it out."""
-    return st.fixed_dictionaries(options).map(
-        lambda values: [name] + [
-            f"--{key.replace('_', '-')}={value}" for key, value in values.items() if value is not None
+    """argv of one subcommand; each option is passed as --key=value or as two
+    tokens, --key value; None leaves it out."""
+    return st.fixed_dictionaries({key: st.tuples(v, st.booleans()) for key, v in options.items()}).map(
+        lambda drawn: [name] + [
+            token
+            for key, (value, joined) in drawn.items()
+            if value is not None
+            for token in _option(key, value, joined)
         ]
     )
 

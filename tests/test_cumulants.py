@@ -15,6 +15,7 @@ from symvar.cumulants import (
     cumulants_to_moments,
     moments_to_cumulants,
     odd_moment_residual,
+    _transform,
 )
 from symvar.errors import OrderError, SizeError
 from symvar.measures import bernoulli, dilate, moments_of, negate
@@ -209,3 +210,21 @@ def test_free_float_kernels_match_exact_transforms():
             assert len(got_k) == len(got_m) == order
             _assert_close(got_k, exact_k[:order], 1e-6)
             _assert_close(got_m, exact_m[:order], 1e-9)
+
+
+@pytest.mark.parametrize("kind", [K.FREE, K.BOOLEAN])
+def test_batched_float_kernels_match_exact_transforms_per_row(kind):
+    # the search passes one law per row of an (R, N) array; each row must match
+    # the exact transform as closely as a single sequence does
+    laws = list(_random_float_laws(40, seed=29))
+    m = np.array([w @ t[:, None] ** np.arange(1, MAX_ORDER + 1) for t, w in laws])
+    k = _transform(m, kind, False)
+    back = _transform(k, kind, True)
+    assert k.shape == back.shape == m.shape
+    for row_m, row_k, row_back in zip(m, k, back):
+        exact_k = moments_to_cumulants(MomentSequence(tuple(map(F, row_m))), kind).values
+        exact_m = cumulants_to_moments(CumulantSequence(kind, tuple(map(F, row_k)))).values
+        _assert_close(row_k, exact_k, 1e-6)
+        _assert_close(row_back, exact_m, 1e-9)
+        # a single sequence is the one-row case
+        np.testing.assert_allclose(_transform(row_m, kind, False), row_k, rtol=1e-9, atol=1e-9)

@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from scipy.optimize import OptimizeResult, minimize
+from scipy.optimize import OptimizeResult, minimize, rosen
 
 from symvar import optimizer
 from symvar.cumulants import IndependenceKind, _transform
@@ -12,6 +12,7 @@ from symvar.optimizer import (
     MAX_ATOMS,
     MAX_GRID_POINTS,
     MAX_RELAX_ORDER,
+    MAX_RESTARTS,
     GridSpec,
     SearchConfig,
     classical_min_variance,
@@ -84,6 +85,21 @@ def test_lp_input_contract():
         classical_min_variance(0.3, GRID, mode="simplex")
 
 
+@pytest.mark.parametrize("grid, order", [((-1e30, 1e30, 1e28), 1), ((-1e30, 1e30, 1e28), 0),
+                                         ((-1e3, 1e3, 1.0), 2), ((-20.0, 20.0, 0.1), 6)])
+def test_moment_relax_refuses_badly_scaled_rows(grid, order):
+    # HiGHS called each of these LPs infeasible, although -e in law is on the grid
+    with pytest.raises(SizeError, match="too wide"):
+        classical_min_variance(0.3, GridSpec(*grid), mode="moment_relax", relax_order=order)
+
+
+@pytest.mark.parametrize("grid, order", [((-5.0, 5.0, 0.01), 6), ((-1e3, 1e3, 1.0), 1)])
+def test_moment_relax_wide_grids_that_still_solve(grid, order):
+    result = classical_min_variance(0.3, GridSpec(*grid), mode="moment_relax", relax_order=order)
+    assert result.status == "optimal"
+    assert result.objective == pytest.approx(0.21, abs=1e-9)
+
+
 def test_exact_law_at_grid_point_bound():
     grid = GridSpec(-2.0, 1.0, 3.0 / MAX_GRID_POINTS)
     assert len(grid.points()) > MAX_GRID_POINTS
@@ -131,6 +147,9 @@ def test_search_config_validation():
     SearchConfig(atom_budget=MAX_ATOMS)
     with pytest.raises(SizeError):
         SearchConfig(atom_budget=MAX_ATOMS + 1)
+    SearchConfig(restarts=MAX_RESTARTS)
+    with pytest.raises(SizeError):
+        SearchConfig(restarts=MAX_RESTARTS + 1)
 
 
 def test_nc_rejects_critical_and_classical():
@@ -195,16 +214,47 @@ def test_nc_search_low_orders(kind, max_odd_order):
     assert result.objective <= 0.3 + 1e-3
 
 
-def test_evaluations_count_every_minimize_call(monkeypatch):
-    seen = []
+def test_evaluations_count_every_row_evaluated(monkeypatch):
+    # every objective, candidate, projection and report row passes through _moments
+    rows = []
 
-    def counting_minimize(*args, **kwargs):
-        res = minimize(*args, **kwargs)
-        seen.append(res.nfev)
-        return res
+    def counting_moments(locs, weights, order):
+        rows.append(len(locs))
+        return moments(locs, weights, order)
 
-    monkeypatch.setattr(optimizer, "minimize", counting_minimize)
+    moments = optimizer._moments
+    monkeypatch.setattr(optimizer, "_moments", counting_moments)
     result = nc_min_variance(0.3, "boolean", SearchConfig(restarts=1, atom_budget=2, seed=5))
-    assert len(seen) == 2 * len(SearchConfig().penalty_weights) + 2
-    assert result.evaluations == sum(seen) > 0
+    assert result.evaluations == sum(rows) > 0
+    assert 4 * 2 in rows  # one lockstep call: four trial points for each of the two starts
     assert json.loads(result.to_json())["evaluations"] == result.evaluations
+
+
+QUADRATIC_CENTRE = np.array([0.3, -1.7, 2.1, 0.9])
+
+
+def quadratic(x):
+    return ((x - QUADRATIC_CENTRE) ** 2 * np.arange(1, 5)).sum()
+
+
+@pytest.mark.parametrize("fun", [quadratic, rosen])
+@pytest.mark.parametrize("maxiter, tol", [(60, 1e-7), (600, 1e-8), (3000, 0.0)])
+def test_lockstep_nelder_mead_matches_scipy(fun, maxiter, tol):
+    # scipy's Nelder-Mead is the oracle: each lane must take exactly its steps
+    starts = np.random.default_rng(3).normal(size=(5, 4))
+    starts[0, 1] = 0.0  # a zero coordinate gets the absolute initial step
+    x, f, nfev = optimizer._nelder_mead(
+        lambda rows: np.array([fun(row) for row in rows]), starts, maxiter, tol, tol
+    )
+    options = {"maxiter": maxiter, "xatol": tol, "fatol": tol}
+    runs = [minimize(fun, x0, method="Nelder-Mead", options=options) for x0 in starts]
+    for i, run in enumerate(runs):
+        assert np.abs(x[i] - run.x).max() <= 1e-12
+        assert abs(f[i] - run.fun) <= 1e-12
+        assert nfev[i] == run.nfev
+    if maxiter == 600:
+        # lanes stop early, at different iterations, while others go on
+        assert min(run.nit for run in runs) < max(run.nit for run in runs) <= maxiter
+    if tol == 0.0:
+        # a lane shrank: it evaluated more than the initial simplex and two points per step
+        assert any(run.nfev > 5 + 2 * (run.nit - 1) for run in runs)
