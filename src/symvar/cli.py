@@ -87,7 +87,11 @@ def _cmd_symmetry(args):
     e = bernoulli(float(p) if mu.mode == "float" else p)
     ms = convolve_moments(moments_of(e, args.order), moments_of(mu, args.order), kind)
     res = odd_moment_residual(ms)
-    out = {"kind": kind.value, "order": args.order, "residual": float(res)}
+    try:
+        residual = float(res)
+    except OverflowError:  # an exact residual beyond the float range
+        residual = None
+    out = {"kind": kind.value, "order": args.order, "residual": residual}
     if mu.mode == "exact":
         out.update({"residual_exact": _num_str(res)})
     _emit(args, json.dumps(out))

@@ -19,38 +19,32 @@ Step n reads only k_1..k_{n-1} and m_0..m_{n-1}, so one loop runs both
 directions: it sets m_n = k_n + rest_n or k_n = m_n - rest_n. The free powers
 live in the triangle powers[j][r] = [z^r] M^j, filled only where j + r <= N
 (the entries an order-N prefix reads); its column n is filled once m_n is
-known.
-On exact rationals (fractions.Fraction) every result is exact.
+known. The recursion only adds and multiplies, so it runs in the arithmetic
+of its input: every single sequence, of any kind, goes through it, exactly
+on rationals (fractions.Fraction) and on floats alike.
 
-Float input to the free and Boolean kinds goes instead to numpy kernels,
-chosen by value type. They take one sequence per row of an (R, N) array (a
-single sequence is the one-row case), so the search evaluates every trial
-point of a Nelder-Mead step in one call. The free kernels are Lagrange
-inversion (Nica-Speicher, Lectures on the Combinatorics of Free Probability,
-Lect. 16): with H(w) = 1 + sum_n k_n w^n,
+The free/Boolean search needs many sequences at once, and only moments to
+cumulants: cumulants add, and every partition of an odd set has a block of
+odd size, so the odd moments of e+y up to order N vanish exactly when its odd
+cumulants k_odd(e) + k_odd(y) do, and the search penalizes those. For it the
+numpy kernels below map one (R, N) batch of moment rows to cumulant rows per
+call. The free kernel is Lagrange inversion (Nica-Speicher, Lectures on the
+Combinatorics of Free Probability, Lect. 16),
 
-  m_n = [w^n] H(w)^(n+1) / (n+1),   k_n = -[t^n] M(t)^(1-n) / (n-1)  (n >= 2),
+  k_n = -[t^n] M(t)^(1-n) / (n-1)  (n >= 2),
 
-each a diagonal of successive powers, so N stacked mat-vecs (one matmul per
-power, all rows at once) with lower-triangular Toeplitz matrices give all N
-entries. The Boolean kernels are one series reciprocal each, from
-M(z) = 1/(1 - K(z)) with K(z) = sum_n k_n z^n:
-
-  M = 1/(1 - K),   K = 1 - 1/M.
-
-1/M is forward substitution, vectorized over the rows. On Fractions the
-recursion is the faster one (about 5x per round trip for the free kind), so
-the exact path keeps it; classical float input runs it on Python floats.
+a diagonal of successive powers of 1/M, so N - 1 stacked mat-vecs with a
+lower-triangular Toeplitz matrix (one matmul per power, all rows at once)
+give every entry. The Boolean kernel is one series reciprocal,
+K(z) = sum_n k_n z^n = 1 - 1/M(z), by forward substitution over the rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from functools import lru_cache
-from math import comb
-from numbers import Rational
+from math import comb, isfinite
 
 import numpy as np
 
@@ -88,12 +82,6 @@ class MomentSequence:
     def order(self):
         return len(self.values)
 
-    def moment(self, n):
-        """m_n with the convention m_0 = 1."""
-        if n == 0:
-            return 1 if isinstance(self.values[0], Fraction) else 1.0
-        return self.values[n - 1]
-
 
 @dataclass(frozen=True)
 class CumulantSequence:
@@ -114,19 +102,9 @@ class CumulantSequence:
 def _transform(values, kind, to_moments):
     """Cumulants k_1..k_N to moments (to_moments) or moments to cumulants.
 
-    The type of the first value picks the path. Rational input runs the
-    recursion of the module docstring, exactly, and returns a list. Float
-    input of the free or Boolean kind goes to the numpy kernels, which map
-    each row of an (R, N) array (or a single sequence) to a row of the
-    result; classical float input runs the recursion on Python floats.
+    Runs the recursion of the module docstring on one sequence, in the
+    arithmetic of its values, and returns a list.
     """
-    if not isinstance(values[0], Rational):
-        v = np.asarray(values, dtype=float)
-        if kind is IndependenceKind.FREE:
-            return _free_k2m_float(v) if to_moments else _free_m2k_float(v)
-        if kind is IndependenceKind.BOOLEAN:
-            return _boolean_float(v, to_moments)
-        values = v.tolist()
     n_max = len(values)
     one = values[0] * 0 + 1  # unit in the input's arithmetic
     m, k = [one], [None]
@@ -136,7 +114,7 @@ def _transform(values, kind, to_moments):
         powers = [[one] + [one * 0] * (n_max - 1) for _ in range(n_max + 1)]
     for n in range(1, n_max + 1):
         # explicit loops in index order: sum() over a generator costs twice as
-        # much on floats, and the search's float results stay bit for bit
+        # much on floats
         rest = 0
         if classical:
             for j in range(1, n):
@@ -155,24 +133,22 @@ def _transform(values, kind, to_moments):
             k.append(m[n] - rest)
         if free:
             for j in range(1, n_max - n + 1):  # [z^n] M^j is read only while j + n <= n_max
-                powers[j][n] = sum(m[i] * powers[j - 1][n - i] for i in range(n + 1))
+                prev, acc = powers[j - 1], 0
+                for i in range(n + 1):
+                    acc += m[i] * prev[n - i]
+                powers[j][n] = acc
     return m[1:] if to_moments else k[1:]
-
-
-def _plain(values):
-    """A transform's output as a tuple of Python numbers."""
-    return tuple(values.tolist() if isinstance(values, np.ndarray) else values)
 
 
 def cumulants_to_moments(kappa: CumulantSequence) -> MomentSequence:
     """Evaluate the lattice sums for kappa's kind; exact on rationals."""
-    return MomentSequence(_plain(_transform(kappa.values, IndependenceKind(kappa.kind), True)))
+    return MomentSequence(tuple(_transform(kappa.values, IndependenceKind(kappa.kind), True)))
 
 
 def moments_to_cumulants(m: MomentSequence, kind) -> CumulantSequence:
     """Invert the lattice sums; exact on rationals."""
     kind = IndependenceKind(kind)
-    return CumulantSequence(kind, _plain(_transform(m.values, kind, False)))
+    return CumulantSequence(kind, tuple(_transform(m.values, kind, False)))
 
 
 @lru_cache(maxsize=MAX_ORDER + 1)
@@ -205,57 +181,47 @@ def _reciprocal(s):
     return r
 
 
-def _power_diagonal(s, shift):
-    """c_n = [t^n] s(t)^(n + shift) for n = 1..N, per row of s = (1, s_1, ..., s_N).
-
-    Each stacked Toeplitz mat-vec raises the power by one while the
-    coefficient read moves up by one, so N mat-vecs give the whole diagonal.
-    """
-    lt = _toeplitz(s)
-    q = np.zeros(s.shape + (1,))
-    q[..., 0, 0] = 1.0
-    for _ in range(1 + shift):
-        q = lt @ q
-    c = np.empty(s.shape[:-1] + (s.shape[-1] - 1,))
-    c[..., 0] = q[..., 1, 0]
-    for n in range(2, s.shape[-1]):
-        q = lt @ q
-        c[..., n - 1] = q[..., n, 0]
-    return c
-
-
-def _free_k2m_float(kap):
-    """Free moments from cumulants, per row: m_n = [w^n] (1 + K(w))^(n+1) / (n+1)."""
-    return _power_diagonal(_unit_series(kap), 1) / np.arange(2, kap.shape[-1] + 2)
-
-
 def _free_m2k_float(m):
-    """Free cumulants from moments, per row: k_n = -[t^n] M(t)^(1-n) / (n-1) for n >= 2."""
-    k = _power_diagonal(_reciprocal(_unit_series(m)), -1)
+    """Free cumulants of each row of m: k_1 = m_1, k_n = -[t^n] M(t)^(1-n) / (n-1).
+
+    Each stacked Toeplitz mat-vec raises the power of 1/M by one while the
+    coefficient read moves up by one, so N - 1 mat-vecs give the whole row.
+    """
+    lt = _toeplitz(_reciprocal(_unit_series(m)))
+    q = np.zeros(lt.shape[:-1] + (1,))
+    q[..., 0, 0] = 1.0
+    k = np.empty_like(m)
     k[..., 0] = m[..., 0]
-    k[..., 1:] /= -np.arange(1, m.shape[-1])
+    for n in range(2, m.shape[-1] + 1):
+        q = lt @ q
+        k[..., n - 1] = q[..., n, 0] / (1 - n)
     return k
 
 
-def _boolean_float(v, to_moments):
-    """Boolean transform per row, one series reciprocal: M = 1/(1 - K), K = 1 - 1/M."""
-    if to_moments:
-        return _reciprocal(_unit_series(-v))[..., 1:]
-    return -_reciprocal(_unit_series(v))[..., 1:]
+def _boolean_m2k_float(m):
+    """Boolean cumulants of each row of m: K = 1 - 1/M."""
+    return -_reciprocal(_unit_series(m))[..., 1:]
 
 
 def convolve_moments(mx: MomentSequence, my: MomentSequence, kind) -> MomentSequence:
     """Moments of the sum of two variables independent in the given sense.
 
     Transforms both inputs to cumulants, adds componentwise, transforms back.
+    A float result beyond the float range is a SizeError.
     """
     kind = IndependenceKind(kind)
     if mx.order != my.order:
         raise SizeError(f"mismatched orders: {mx.order} vs {my.order}")
-    kx = moments_to_cumulants(mx, kind)
-    ky = moments_to_cumulants(my, kind)
-    total = CumulantSequence(kind, tuple(a + b for a, b in zip(kx.values, ky.values)))
-    return cumulants_to_moments(total)
+    try:
+        kx = moments_to_cumulants(mx, kind)
+        ky = moments_to_cumulants(my, kind)
+        total = CumulantSequence(kind, tuple(a + b for a, b in zip(kx.values, ky.values)))
+        ms = cumulants_to_moments(total)
+        if not all(isfinite(v) for v in ms.values if isinstance(v, float)):
+            raise OverflowError
+    except OverflowError:  # also a Fraction too large for the float it meets
+        raise SizeError("the moments of the sum exceed the float range") from None
+    return ms
 
 
 def odd_moment_residual(m: MomentSequence):

@@ -30,11 +30,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .certificate import psi as _psi
-from .cumulants import IndependenceKind, MomentSequence, convolve_moments
+from .cumulants import MAX_ORDER, IndependenceKind, MomentSequence, convolve_moments
 from .errors import SizeError
 from .measures import DiscreteMeasure, bernoulli, check_p, moments_of
 
-MAX_SIM_ORDER = 13
 # Largest matrix dimension. In the worst case (p = 1/2, two equal atoms) the
 # compressed eigenproblem keeps dimension n, and one draw at n = 2500 peaks
 # at about 0.37 GB above the interpreter's own memory.
@@ -151,8 +150,8 @@ def _realize(model: MatrixModel, rotate=True):
 
 def simulate_free_sum(model: MatrixModel, order) -> MomentSequence:
     """Empirical moments tr((E+Y)^k)/n for k = 1..order, Haar-rotated model."""
-    if not 1 <= order <= MAX_SIM_ORDER:
-        raise SizeError(f"order must be in 1..{MAX_SIM_ORDER}")
+    if not 1 <= order <= MAX_ORDER:
+        raise SizeError(f"order must be in 1..{MAX_ORDER}")
     lam = _realize(model, rotate=True)
     return MomentSequence(tuple(float(np.mean(lam**k)) for k in range(1, order + 1)))
 
@@ -182,7 +181,8 @@ def proof_identity_report(p, y_law, dims, seeds_per_dim, master_seed):
     """Residual table for the unproven expansion step, rotated vs commuting.
 
     Returns rows {"n", "seed", "rotated_residual", "commuting_residual"};
-    no numeric target is asserted anywhere, the table IS the result.
+    no numeric target is asserted anywhere, the table IS the result. A
+    residual beyond the float range is a SizeError.
     """
     if seeds_per_dim < 1:
         raise SizeError("seeds_per_dim must be >= 1")
@@ -190,19 +190,22 @@ def proof_identity_report(p, y_law, dims, seeds_per_dim, master_seed):
     for n in dims:
         _check_dim(n)
     rows = []
-    for n in dims:
-        ss = np.random.SeedSequence([master_seed, n])
-        for child in ss.spawn(seeds_per_dim):
-            seed = int(child.generate_state(1)[0])
-            model = MatrixModel(n=n, p=p, y_law=y_law, seed=seed)
-            rows.append(
-                {
-                    "n": n,
-                    "seed": seed,
-                    "rotated_residual": test_proof_identity(model, grid_free=True),
-                    "commuting_residual": test_proof_identity(model, grid_free=False),
-                }
-            )
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite residuals are refused below
+        for n in dims:
+            ss = np.random.SeedSequence([master_seed, n])
+            for child in ss.spawn(seeds_per_dim):
+                seed = int(child.generate_state(1)[0])
+                model = MatrixModel(n=n, p=p, y_law=y_law, seed=seed)
+                rows.append(
+                    {
+                        "n": n,
+                        "seed": seed,
+                        "rotated_residual": test_proof_identity(model, grid_free=True),
+                        "commuting_residual": test_proof_identity(model, grid_free=False),
+                    }
+                )
+    if not np.isfinite([(r["rotated_residual"], r["commuting_residual"]) for r in rows]).all():
+        raise SizeError("psi of the spectrum of E + Y exceeds the float range")
     return rows
 
 
@@ -211,7 +214,7 @@ def empirical_vs_predicted(model: MatrixModel, order, reps):
 
     Flags any order where |mean - predicted| > 5*stderr + 10/n. With one rep
     the standard error is undefined: it is reported as None and nothing is
-    flagged.
+    flagged. A figure beyond the float range is a SizeError.
     """
     if reps < 1:
         raise SizeError("reps must be >= 1")
@@ -220,14 +223,18 @@ def empirical_vs_predicted(model: MatrixModel, order, reps):
     predicted = convolve_moments(me, my, IndependenceKind.FREE).values
     ss = np.random.SeedSequence(model.seed)
     samples = np.empty((reps, order))
-    for i, child in enumerate(ss.spawn(reps)):
-        m = MatrixModel(model.n, model.p, model.y_law, int(child.generate_state(1)[0]))
-        samples[i] = simulate_free_sum(m, order).values
-    mean = samples.mean(axis=0)
-    stderr = samples.std(axis=0, ddof=1) / np.sqrt(reps) if reps > 1 else None
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite figures are refused below
+        for i, child in enumerate(ss.spawn(reps)):
+            m = MatrixModel(model.n, model.p, model.y_law, int(child.generate_state(1)[0]))
+            samples[i] = simulate_free_sum(m, order).values
+        mean = samples.mean(axis=0)
+        error = np.abs(mean - predicted)
+        stderr = samples.std(axis=0, ddof=1) / np.sqrt(reps) if reps > 1 else None
+        flagged = np.zeros(order, bool) if stderr is None else error > 5.0 * stderr + 10.0 / model.n
+    if not np.isfinite([mean, error] if stderr is None else [mean, error, stderr]).all():
+        raise SizeError(f"the moments of E + Y up to order {order} exceed the float range")
     rows = []
     for k in range(order):
-        error = abs(mean[k] - predicted[k])
         rows.append(
             {
                 "n": model.n,
@@ -235,9 +242,9 @@ def empirical_vs_predicted(model: MatrixModel, order, reps):
                 "order": k + 1,
                 "empirical": float(mean[k]),
                 "predicted": float(predicted[k]),
-                "abs_error": float(error),
+                "abs_error": float(error[k]),
                 "stderr": None if stderr is None else float(stderr[k]),
-                "flagged": stderr is not None and bool(error > 5.0 * stderr[k] + 10.0 / model.n),
+                "flagged": bool(flagged[k]),
             }
         )
     return {

@@ -16,7 +16,6 @@ from .cumulants import MAX_ORDER, MomentSequence
 from .errors import CriticalCaseError, OrderError, SizeError, SymvarError
 
 FLOAT_MERGE_TOL = 1e-10
-FLOAT_WEIGHT_TOL = 1e-12
 HALF = Fraction(1, 2)
 
 
@@ -153,12 +152,19 @@ def dilate(mu: DiscreteMeasure, s) -> DiscreteMeasure:
 
 
 def moments_of(mu: DiscreteMeasure, order: int) -> MomentSequence:
-    """m_n = sum w * t^n for n = 1..order; exact in exact mode."""
+    """m_n = sum w * t^n for n = 1..order; exact in exact mode.
+
+    A float moment beyond the float range is a SizeError.
+    """
     if not 1 <= order <= MAX_ORDER:
         raise OrderError(f"order must be in 1..{MAX_ORDER}, got {order}")
-    return MomentSequence(
-        tuple(sum(w * t**n for t, w in mu.atoms) for n in range(1, order + 1))
-    )
+    try:
+        values = tuple(sum(w * t**n for t, w in mu.atoms) for n in range(1, order + 1))
+        if mu.mode == "float" and not all(map(isfinite, values)):
+            raise OverflowError
+    except OverflowError:
+        raise SizeError(f"moments up to order {order} exceed the float range") from None
+    return MomentSequence(values)
 
 
 def mean(mu: DiscreteMeasure):

@@ -3,19 +3,27 @@
 Classically the symmetry constraints are linear in the weights of a gridded
 law for Y, so the minimum of Var(Y) is an LP; its rows are assembled as a
 sparse matrix and solved by scipy's HiGHS (Huangfu-Hall dual revised
-simplex). For free and Boolean independence the moments of e+y are
-polynomial in the moments of y (through the cumulant transforms), so we run
-a multi-start penalized Nelder-Mead over atom locations and softmax weights;
-the theorems say the answer is p, and the search doubles as a falsifier.
+simplex). For free and Boolean independence we run a multi-start penalized
+Nelder-Mead over atom locations and softmax weights; the theorems say the
+answer is p, and the search doubles as a falsifier.
+
+The search works in cumulant coordinates. Cumulants add, and every partition
+of an odd set has a block of odd size, so the odd moments of e+y up to order
+N vanish exactly when its odd cumulants k_odd(e) + k_odd(y) do: the
+symmetry constraints are linear in y's cumulants, and penalizing them is
+exact. One evaluation therefore needs only y's moments (one cumprod and one
+stacked matmul) and the batched moments-to-cumulants kernel; e's cumulants
+are computed once. The penalty, the ranking of candidates and the final
+projection all read this one map.
 
 The starts run in lockstep: every start is a lane of one Nelder-Mead loop
 that follows scipy's method step for step, and each iteration evaluates the
-four trial points of every lane in one batched objective call (y's moments
-from one cumprod and one stacked matmul, the 2-D cumulant kernels, the
-penalty and box terms as row-wise dot products). The best point is then
-projected onto the odd-cumulant equations by least squares.
-OptResult.evaluations counts every row evaluated: trial points whether
-chosen or not, the candidates, the projection and the final report.
+four trial points of every lane in one batched objective call. The best
+point is then projected onto the odd-cumulant equations by least squares.
+The reported residual is the largest odd moment of e+y, computed from the
+returned measure through convolve_moments as for the LP.
+OptResult.evaluations counts every row of the odd-cumulant map: trial points
+whether chosen or not, the candidates and the projection.
 """
 
 from __future__ import annotations
@@ -31,7 +39,8 @@ from scipy.optimize import least_squares, linprog
 from .cumulants import (
     MAX_ORDER,
     IndependenceKind,
-    _transform,
+    _boolean_m2k_float,
+    _free_m2k_float,
     convolve_moments,
     odd_moment_residual,
 )
@@ -288,22 +297,25 @@ def _moments(locs, weights, order):
     return (weights[..., None, :] @ powers)[..., 0, :]
 
 
-def _sum_odd_moments(locs, weights, e_kappa, kind, order):
-    """Odd moments of e+y and m2(y), per row, for y supported on (locs, weights).
+_BATCH_M2K = {IndependenceKind.FREE: _free_m2k_float, IndependenceKind.BOOLEAN: _boolean_m2k_float}
 
-    Moments 1..order are transformed, so order must be at least 2; e_kappa
-    holds e's cumulants to that order, as a numpy vector.
+
+def _odd_cumulants(locs, weights, e_kappa, kind):
+    """Odd cumulants of e+y and m2(y), per row, for y supported on (locs, weights).
+
+    e_kappa holds e's cumulants k_1..k_N as a numpy vector, N >= 2; y's come
+    from the batched kernel, one call for all rows.
     """
-    my = _moments(locs, weights, order)
-    ms = _transform(e_kappa + _transform(my, kind, False), kind, True)
-    return ms[..., 0::2], my[..., 1]
+    my = _moments(locs, weights, len(e_kappa))
+    return (_BATCH_M2K[kind](my) + e_kappa)[:, 0::2], my[:, 1]
 
 
 def nc_min_variance(p, kind, cfg: SearchConfig = SearchConfig(), allow_critical=False) -> OptResult:
     """Search for min phi(y^2) over y (free or Boolean) symmetrizing e.
 
     Penalized Nelder-Mead over atom locations in [-3,2] and softmax weights,
-    with an increasing penalty schedule on the squared odd moments of e+y.
+    with an increasing penalty schedule on the squared odd cumulants of e+y
+    (zero exactly when its odd moments are).
     Multi-start: cfg.restarts random initializations plus the known equality
     candidate y = -e in law, all run in lockstep (one batched objective call
     per Nelder-Mead iteration). The best point is then projected onto the
@@ -316,13 +328,13 @@ def nc_min_variance(p, kind, cfg: SearchConfig = SearchConfig(), allow_critical=
         raise SizeError("use classical_min_variance for the classical kind")
     order = max(cfg.max_odd_order, 2)  # m2(y) is the objective
     k = cfg.atom_budget
-    e_kappa = _transform(np.full(order, pf), kind, False)  # Bernoulli(p): m_n = p
-    evaluations = 0  # rows evaluated, by the search, the projection and the report
+    e_kappa = _BATCH_M2K[kind](np.full(order, pf))  # Bernoulli(p): m_n = p
+    evaluations = 0  # rows evaluated, by the search and the projection
 
-    def odd_moments(locs, weights):
+    def odd_cumulants(locs, weights):
         nonlocal evaluations
         evaluations += len(locs)
-        return _sum_odd_moments(locs, weights, e_kappa, kind, order)
+        return _odd_cumulants(locs, weights, e_kappa, kind)
 
     def unpack(x):
         locs = np.minimum(np.maximum(x[:, :k], -3.0), 2.0)
@@ -333,14 +345,14 @@ def nc_min_variance(p, kind, cfg: SearchConfig = SearchConfig(), allow_critical=
     def objective(lam):
         def f(x):
             locs, weights = unpack(x)
-            odd, m2 = odd_moments(locs, weights)
+            odd, m2 = odd_cumulants(locs, weights)
             d = x[:, :k] - locs
             return m2 + lam * np.einsum("ij,ij->i", odd, odd) + 10.0 * np.einsum("ij,ij->i", d, d)
 
         return f
 
     def evaluate(x):
-        odd, m2 = odd_moments(*unpack(x))
+        odd, m2 = odd_cumulants(*unpack(x))
         return x, m2, np.abs(odd).max(axis=1)
 
     rng = np.random.default_rng(cfg.seed)
@@ -380,16 +392,15 @@ def nc_min_variance(p, kind, cfg: SearchConfig = SearchConfig(), allow_critical=
         mu = DiscreteMeasure.from_atoms(
             list(zip(locs[keep], weights[keep] / weights[keep].sum())), mode="float"
         )
-        odd, m2 = odd_moments(*(np.array([v]) for v in zip(*mu.atoms)))
-        return mu, float(m2[0]), float(np.abs(odd).max())
+        my = moments_of(mu, order)
+        msum = convolve_moments(moments_of(bernoulli(pf), order), my, kind)
+        return mu, my.values[1], float(odd_moment_residual(msum))
 
     # projection in (locations, weights): a weight can reach its bound 0,
     # which a softmax logit reaches only at -inf
     def gap(z):
-        nonlocal evaluations
-        evaluations += len(z)
-        ky = _transform(_moments(z[:, :k], z[:, k:], order), kind, False)
-        return np.hstack([(ky + e_kappa)[:, 0::2], z[:, k:].sum(axis=1, keepdims=True) - 1.0])
+        odd = odd_cumulants(z[:, :k], z[:, k:])[0]
+        return np.hstack([odd, z[:, k:].sum(axis=1, keepdims=True) - 1.0])
 
     def gap_jacobian(z):
         h = 1.49e-8 * np.maximum(1.0, np.abs(z))  # forward differences in one batched call

@@ -115,6 +115,16 @@ def test_symmetry_equality_case(capsys):
     assert obj["residual_exact"] == "0"
 
 
+def test_symmetry_exact_residual_beyond_float_range(capsys):
+    # the exact residual is about 1e2600: "residual" is null, "residual_exact" keeps it
+    wide = '{"atoms": [["1e200", "1"]]}'
+    code, out = run(capsys, "symmetry", "--p", "0.3", "--kind", "free", "--measure", wide)
+    assert code == 0
+    obj = json.loads(out, parse_constant=_reject_non_finite)
+    assert obj["residual"] is None
+    assert len(obj["residual_exact"]) > 2600
+
+
 def test_symmetry_critical_case(capsys):
     code, _ = run(
         capsys, "symmetry", "--p", "0.5", "--kind", "free", "--measure", EXACT_NEG_BERN
@@ -237,8 +247,25 @@ def test_negative_seed_exit_1(capsys, argv):
         ["convolve", "--kind", "free", "--x", FLOAT_NEG_BERN, "--y", FLOAT_NEG_BERN,
          "--order", "x"],
         ["simulate", "--p", "0.3", "--experiment", "eigen"],
+        # finite float atoms whose powers overflow
+        ["convolve", "--kind", "free", "--x", '{"atoms":[[1e200,1]],"mode":"float"}',
+         "--y", '{"atoms":[[1,1]],"mode":"float"}'],
+        ["symmetry", "--p", "0.3", "--kind", "free", "--measure",
+         '{"atoms":[[1e25,1]],"mode":"float"}'],
+        ["simulate", "--p", "0.3", "--seed", "1", "--n", "20", "--reps", "2", "--measure",
+         '{"atoms":[[1e25,1]],"mode":"float"}'],
+        ["simulate", "--experiment", "proof-identity", "--p", "0.3", "--seed", "1", "--dims", "20",
+         "--reps", "1", "--measure", '{"atoms":[[1e308,1]],"mode":"float"}'],
+        # finite moments whose sum overflows: an exact law with a float one, and a float law
+        # whose order-13 moment is near the float maximum
+        ["convolve", "--kind", "classical", "--x", '{"atoms":[["1e200","1"]]}', "--y",
+         FLOAT_NEG_BERN, "--order", "2"],
+        ["convolve", "--kind", "classical", "--x",
+         '{"atoms":[[3e23,0.5],[-2e22,0.5]],"mode":"float"}', "--y", FLOAT_NEG_BERN,
+         "--order", "13"],
     ],
 )
+@pytest.mark.filterwarnings("error")  # a numpy warning on stderr breaks the contract too
 def test_bad_inputs_exit_1(capsys, argv):
     _assert_json_error(capsys, argv)
 

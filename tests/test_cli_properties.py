@@ -76,6 +76,9 @@ def measures(draw):
             '{"atoms": [["0", "-1"], ["1", "2"]], "mode": "exact"}',
             '{"atoms": [[NaN, 1]], "mode": "float"}',
             '{"atoms": [[0, Infinity]], "mode": "float"}',
+            '{"atoms": [[1e25, 1]], "mode": "float"}',
+            '{"atoms": [[1e200, 0.5], [0, 0.5]], "mode": "float"}',
+            '{"atoms": [["1e200", "1"]], "mode": "exact"}',
             "[1, 2]",
             "{nope",
             "5",

@@ -15,7 +15,8 @@ from symvar.cumulants import (
     cumulants_to_moments,
     moments_to_cumulants,
     odd_moment_residual,
-    _transform,
+    _boolean_m2k_float,
+    _free_m2k_float,
 )
 from symvar.errors import OrderError, SizeError
 from symvar.measures import bernoulli, dilate, moments_of, negate
@@ -195,8 +196,8 @@ def _assert_close(got, exact, rel):
 
 
 def test_free_float_kernels_match_exact_transforms():
-    # float input takes the float path of the public transforms (the numpy
-    # kernels for the free kind); the exact transforms are prefix-consistent
+    # float input runs the public transforms' one recursion on floats, for
+    # every kind and direction; the exact transforms are prefix-consistent
     # (entry n depends on entries 1..n only), so one exact call at MAX_ORDER
     # serves every float order
     for kind, (locs, weights) in product(KINDS, _random_float_laws(200)):
@@ -216,15 +217,13 @@ def test_free_float_kernels_match_exact_transforms():
 def test_batched_float_kernels_match_exact_transforms_per_row(kind):
     # the search passes one law per row of an (R, N) array; each row must match
     # the exact transform as closely as a single sequence does
+    batch = {K.FREE: _free_m2k_float, K.BOOLEAN: _boolean_m2k_float}[kind]
     laws = list(_random_float_laws(40, seed=29))
     m = np.array([w @ t[:, None] ** np.arange(1, MAX_ORDER + 1) for t, w in laws])
-    k = _transform(m, kind, False)
-    back = _transform(k, kind, True)
-    assert k.shape == back.shape == m.shape
-    for row_m, row_k, row_back in zip(m, k, back):
+    k = batch(m)
+    assert k.shape == m.shape
+    for row_m, row_k in zip(m, k):
         exact_k = moments_to_cumulants(MomentSequence(tuple(map(F, row_m))), kind).values
-        exact_m = cumulants_to_moments(CumulantSequence(kind, tuple(map(F, row_k)))).values
         _assert_close(row_k, exact_k, 1e-6)
-        _assert_close(row_back, exact_m, 1e-9)
         # a single sequence is the one-row case
-        np.testing.assert_allclose(_transform(row_m, kind, False), row_k, rtol=1e-9, atol=1e-9)
+        np.testing.assert_allclose(batch(row_m), row_k, rtol=1e-9, atol=1e-9)

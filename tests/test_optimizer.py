@@ -5,9 +5,15 @@ import pytest
 from scipy.optimize import OptimizeResult, minimize, rosen
 
 from symvar import optimizer
-from symvar.cumulants import IndependenceKind, _transform
+from symvar.cumulants import (
+    IndependenceKind,
+    MomentSequence,
+    convolve_moments,
+    moments_to_cumulants,
+    odd_moment_residual,
+)
 from symvar.errors import CriticalCaseError, SizeError, SymvarError
-from symvar.measures import variance
+from symvar.measures import bernoulli, moments_of, variance
 from symvar.optimizer import (
     MAX_ATOMS,
     MAX_GRID_POINTS,
@@ -192,14 +198,15 @@ def test_opt_result_json():
 @pytest.mark.parametrize("p", [0.3, 0.7])
 @pytest.mark.parametrize("kind", ["free", "boolean"])
 def test_sum_odd_moments_vanish_at_equality_case(kind, p):
-    # y = -e in law symmetrizes e in every sense: all odd moments of e + y vanish
+    # y = -e in law symmetrizes e in every sense: all odd moments of e + y
+    # vanish, and so do its odd cumulants, which the search penalizes
     kind = IndependenceKind(kind)
     for order in range(2, 14):
-        e_kappa = np.asarray(_transform([p] * order, kind, False))
-        odd, m2 = optimizer._sum_odd_moments(
-            np.array([-1.0, 0.0]), np.array([p, 1 - p]), e_kappa, kind, order
+        e_kappa = np.array(moments_to_cumulants(MomentSequence((p,) * order), kind).values)
+        odd, m2 = optimizer._odd_cumulants(
+            np.array([[-1.0, 0.0]]), np.array([[p, 1 - p]]), e_kappa, kind
         )
-        assert len(odd) == (order + 1) // 2
+        assert odd.shape == (1, (order + 1) // 2)
         assert np.abs(odd).max() <= 1e-12
         assert m2 == pytest.approx(p, abs=1e-15)
 
@@ -214,8 +221,21 @@ def test_nc_search_low_orders(kind, max_odd_order):
     assert result.objective <= 0.3 + 1e-3
 
 
+@pytest.mark.parametrize("kind", ["free", "boolean"])
+def test_search_residual_is_the_convolution_residual_of_its_measure(kind):
+    # the search reports what the LP reports: the largest odd moment of e + y,
+    # through convolve_moments, recomputed from the returned measure
+    cfg = SearchConfig(restarts=2, seed=99)
+    result = nc_min_variance(0.3, kind, cfg)
+    order = cfg.max_odd_order
+    msum = convolve_moments(moments_of(bernoulli(0.3), order), moments_of(result.measure, order),
+                            kind)
+    assert result.residual == float(odd_moment_residual(msum))
+
+
 def test_evaluations_count_every_row_evaluated(monkeypatch):
-    # every objective, candidate, projection and report row passes through _moments
+    # every objective, candidate and projection row passes through _moments; the
+    # final report goes through convolve_moments and is not counted
     rows = []
 
     def counting_moments(locs, weights, order):
