@@ -23,6 +23,17 @@ known. The recursion only adds and multiplies, so it runs in the arithmetic
 of its input: every single sequence, of any kind, goes through it, exactly
 on rationals (fractions.Fraction) and on floats alike.
 
+Rationals run it on Python ints, because every Fraction operation pays a
+gcd. Cumulants are homogeneous, k_n(cX) = c^n k_n(X), in every lattice: each
+term of m_n is a product of cumulants whose block sizes sum to n, and the
+coefficients c_{n,j} are integers. So with one integer c such that
+den(v_n) | c^n for every n, the scaled input v_n c^n is integral, the
+recursion stays on ints, and output x_n gives x_n / c^n exactly. c is built
+greedily in one pass, c *= den(v_n) / gcd(den(v_n), c^n). It divides the lcm
+of the denominators and is often far smaller: the moments of a law on
+(1/4)Z with weights over w have denominators dividing 4^n w, so c divides
+4w, where the lcm reaches 4^N w.
+
 The free/Boolean search needs many sequences at once, and only moments to
 cumulants: cumulants add, and every partition of an odd set has a block of
 odd size, so the odd moments of e+y up to order N vanish exactly when its odd
@@ -44,7 +55,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from math import comb, isfinite
+from fractions import Fraction
+from math import comb, gcd, isfinite
 
 import numpy as np
 
@@ -102,9 +114,29 @@ class CumulantSequence:
 def _transform(values, kind, to_moments):
     """Cumulants k_1..k_N to moments (to_moments) or moments to cumulants.
 
-    Runs the recursion of the module docstring on one sequence, in the
-    arithmetic of its values, and returns a list.
+    Runs the recursion of the module docstring on one sequence and returns a
+    list. Rationals (ints and at least one Fraction) run it on Python ints,
+    scaled by c^n; any other input runs it in the arithmetic of its values.
     """
+    if not (
+        all(isinstance(v, (int, Fraction)) for v in values)
+        and any(isinstance(v, Fraction) for v in values)
+    ):
+        return _recursion(values, kind, to_moments)
+    c = 1
+    for n, v in enumerate(values, 1):
+        den = v.denominator
+        c *= den // gcd(den, c**n)  # now den | c^n, and c only grows
+    scales = [c**n for n in range(1, len(values) + 1)]
+    ints = [v.numerator * (s // v.denominator) for v, s in zip(values, scales)]
+    out = _recursion(ints, kind, to_moments)
+    # entries before the first Fraction depend on ints only and stay ints
+    first = next(i for i, v in enumerate(values) if isinstance(v, Fraction))
+    return [x // s if i < first else Fraction(x, s) for i, (x, s) in enumerate(zip(out, scales))]
+
+
+def _recursion(values, kind, to_moments):
+    """The recursion of the module docstring on one sequence, in its arithmetic."""
     n_max = len(values)
     one = values[0] * 0 + 1  # unit in the input's arithmetic
     m, k = [one], [None]

@@ -149,11 +149,18 @@ def _realize(model: MatrixModel, rotate=True):
 
 
 def simulate_free_sum(model: MatrixModel, order) -> MomentSequence:
-    """Empirical moments tr((E+Y)^k)/n for k = 1..order, Haar-rotated model."""
+    """Empirical moments tr((E+Y)^k)/n for k = 1..order, Haar-rotated model.
+
+    A moment beyond the float range is a SizeError.
+    """
     if not 1 <= order <= MAX_ORDER:
         raise SizeError(f"order must be in 1..{MAX_ORDER}")
     lam = _realize(model, rotate=True)
-    return MomentSequence(tuple(float(np.mean(lam**k)) for k in range(1, order + 1)))
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite moments are refused below
+        moments = tuple(float(np.mean(lam**k)) for k in range(1, order + 1))
+    if not np.isfinite(moments).all():
+        raise SizeError(f"the moments of E + Y up to order {order} exceed the float range")
+    return MomentSequence(moments)
 
 
 def test_proof_identity(model: MatrixModel, grid_free=True, func=None):

@@ -113,7 +113,8 @@ def check_p(p, allow_critical=False):
     if isinstance(p, float):
         critical = p == 0.5
     else:
-        p = Fraction(p)
+        if not isinstance(p, Fraction):
+            p = Fraction(p)
         critical = p == HALF
     if not 0 < p < 1:
         raise SizeError(f"p must lie in (0,1), got {p}")

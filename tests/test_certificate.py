@@ -13,7 +13,7 @@ from symvar.certificate import (
     verify_inequality_grid,
 )
 from symvar.errors import CriticalCaseError, SizeError
-from symvar.measures import DiscreteMeasure, bernoulli, negate
+from symvar.measures import DiscreteMeasure, bernoulli, check_p, negate
 
 P_SET = (F(1, 10), F(3, 10), F(9, 20), F(11, 20), F(9, 10))
 
@@ -40,6 +40,33 @@ def test_sawtooth_bounded_and_lipschitz(rng):
     for _ in range(200):
         t = F(rng.randint(-1000, 1000), 97)
         assert abs(sawtooth(t)) <= F(1, 2)
+
+
+def _sawtooth_by_definition(t):
+    """h(t) from its definition, in Fractions."""
+    u = (F(t) + F(1, 2)) % 2 - F(1, 2)
+    return u if u <= F(1, 2) else 1 - u
+
+
+def test_sawtooth_exact_matches_definition(rng):
+    cases = []
+    for _ in range(3000):
+        den = rng.randint(1, 10 ** rng.randint(0, 12))
+        bound = 10 ** rng.randint(0, 30) * den
+        cases.append(F(rng.randint(-bound, bound), den))
+    cases += [F(i, 2) for i in range(-10, 11)]  # every half-integer in [-5, 5]
+    cases += list(range(-6, 7)) + [10**30 + 1, -(10**30) - 1]  # int input
+    for t in cases:
+        got = sawtooth(t)
+        assert type(got) is F
+        assert got == _sawtooth_by_definition(t), t
+
+
+def test_check_p_keeps_a_fraction():
+    p = F(3, 10)
+    got = check_p(p)
+    assert type(got) is F and got == F(3, 10)
+    assert got is p  # psi runs the check once per point: no rebuilt Fraction
 
 
 def test_sawtooth_rejects_non_finite():

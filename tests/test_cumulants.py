@@ -1,6 +1,8 @@
+from collections import Counter
 from fractions import Fraction as F
+from functools import lru_cache
 from itertools import product
-from math import comb
+from math import comb, gcd, prod
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from symvar.cumulants import (
     odd_moment_residual,
     _boolean_m2k_float,
     _free_m2k_float,
+    _recursion,
 )
 from symvar.errors import OrderError, SizeError
 from symvar.measures import bernoulli, dilate, moments_of, negate
@@ -59,6 +62,77 @@ def test_round_trip_exact(rng):
             assert back.values == m.values
             # exact input stays exact: a float would pass the equality above on dyadic values
             assert all(type(v) is F for v in k.values + back.values)
+
+
+# 13 pairwise-coprime denominators: the worst case for one common scale c
+PRIMES_ABOVE_1E6 = (
+    1000003, 1000033, 1000037, 1000039, 1000081, 1000099, 1000117,
+    1000121, 1000133, 1000151, 1000159, 1000171, 1000183,
+)
+ORACLE_ORDER = 9  # the lattices of 10 points take seconds to enumerate
+
+
+@lru_cache(maxsize=None)
+def _block_types(n, kind):
+    """How many partitions of the kind's lattice have each multiset of block sizes."""
+    return Counter(tuple(sorted(p.block_sizes())) for p in enumerate_partitions(n, kind))
+
+
+def _lattice_moments(kappa, kind):
+    """The defining lattice sums m_1..m_ORACLE_ORDER, grouped by block sizes."""
+    return [
+        sum(count * prod(kappa[s - 1] for s in sizes) for sizes, count in _block_types(n, kind).items())
+        for n in range(1, ORACLE_ORDER + 1)
+    ]
+
+
+def _integer_path_cases(rng):
+    assert all(gcd(a, b) == 1 for a, b in product(PRIMES_ABOVE_1E6, repeat=2) if a != b)
+    cases = []
+    for _ in range(3):
+        cases.append(tuple(F(rng.randint(-10**7, 10**7), d) for d in PRIMES_ABOVE_1E6))
+        cases.append(tuple(F(rng.randint(-10**7, 10**7), d) for d in rng.sample(PRIMES_ABOVE_1E6, 13)))
+    for _ in range(6):  # zero and negative entries, zero first, ints among Fractions
+        seq = [random_rational(rng, -9, 9, 12) for _ in range(MAX_ORDER)]
+        for i in rng.sample(range(MAX_ORDER), 3):
+            seq[i] = rng.choice((F(0), 0, -rng.randint(1, 9)))
+        cases.append(tuple(seq))
+    cases.append((F(0),) + tuple(-random_rational(rng, 1, 9, 9) for _ in range(MAX_ORDER - 1)))
+    return cases
+
+
+def test_integer_path_matches_lattice_sums(rng):
+    for kind, values in product(KINDS, _integer_path_cases(rng)):
+        m = cumulants_to_moments(CumulantSequence(kind, values)).values
+        assert m[:ORACLE_ORDER] == tuple(_lattice_moments(values, kind))
+        k = moments_to_cumulants(MomentSequence(values), kind).values
+        assert tuple(_lattice_moments(k, kind)) == values[:ORACLE_ORDER]
+        # every order, against the recursion run on Fractions
+        assert m == tuple(_recursion(values, kind, True))
+        assert k == tuple(_recursion(values, kind, False))
+        assert all(type(v) is F for v in m + k)
+
+
+def test_transform_output_types():
+    fractions = tuple(F(i, abs(i) + 2) for i in range(-3, 10))
+    ints = tuple(range(-3, 10))
+    for kind, to_moments in product(KINDS, (True, False)):
+        def run(values):
+            if to_moments:
+                return cumulants_to_moments(CumulantSequence(kind, values)).values
+            return moments_to_cumulants(MomentSequence(values), kind).values
+
+        assert all(type(v) is F for v in run(fractions))
+        assert all(type(v) is int for v in run(ints))
+        assert all(type(v) is float for v in run((0.5,) + fractions[1:]))
+        # an entry only reads the entries before it
+        mixed = run(fractions[:4] + (0.25,) + fractions[5:])
+        assert all(type(v) is F for v in mixed[:4])
+        assert all(type(v) is float for v in mixed[4:])
+        mixed = run(ints[:4] + fractions[4:])
+        assert all(type(v) is int for v in mixed[:4])
+        assert all(type(v) is F for v in mixed[4:])
+        assert mixed == run(tuple(map(F, ints[:4])) + fractions[4:])
 
 
 def test_bernoulli_free_cumulants_half():

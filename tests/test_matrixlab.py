@@ -238,3 +238,12 @@ def test_reps_validation():
         ml.proof_identity_report(0.3, Y_LAW, [20], 1, -1)
     with pytest.raises(SizeError):
         ml.simulate_free_sum(model, 14)
+
+
+@pytest.mark.filterwarnings("error")
+def test_simulate_free_sum_refuses_moments_beyond_float_range():
+    # the 13th moment of a point mass at 1e25 overflows; no numpy warning may escape
+    law = DiscreteMeasure.from_atoms([(1e25, 1.0)], mode="float")
+    with pytest.raises(SizeError):
+        ml.simulate_free_sum(ml.MatrixModel(20, 0.3, law, 1), 13)
+    assert np.isfinite(ml.simulate_free_sum(ml.MatrixModel(20, 0.3, law, 1), 12).values).all()
