@@ -18,6 +18,21 @@ D is constant on each atom block, so only the triangular factor R_i of the
 block's rows of Q matters: the spectrum is that of diag(a_i) + sigma R R*,
 of dimension sum_i min(n_i, s), plus each atom a_i repeated n_i - min(n_i, s)
 times. No n x n matrix is formed.
+
+A law with two atoms needs no isometry at all. D + sigma Q Q* is then built
+from two projections, the first-atom block P (rank n_1) and F = Q Q* (rank
+s), and by the two-subspace theorem the space splits into the four
+intersections of ran/ker P with ran/ker F and g = min(n_1, n_2, s)
+two-dimensional blocks, one per principal angle theta between ran P and
+ran F. On an intersection the matrix is a_1, a_2, a_1 + sigma or a_2 + sigma;
+on a block with lambda = cos^2 theta it is
+[[a_1 + sigma lambda, sigma sqrt(lambda (1 - lambda))], [., a_2 + sigma (1 - lambda)]].
+F is Haar, so the g squared cosines are the squared singular values of the
+n_1 x s block of a Haar isometry: a beta = 2 Jacobi ensemble with density
+prod lambda^a (1 - lambda)^b |Vandermonde|^2, a = |n_1 - s|, b = |n_2 - s|
+(Collins 2005). Edelman and Sutton (2008) realize exactly that ensemble as
+the squared singular values of a bidiagonal matrix of independent Beta
+variables. The two-atom draw is therefore exact in law, at O(n + s^2) cost.
 """
 
 from __future__ import annotations
@@ -28,15 +43,17 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import eigvalsh_tridiagonal
 
 from .certificate import psi as _psi
 from .cumulants import MAX_ORDER, IndependenceKind, MomentSequence, convolve_moments
 from .errors import SizeError
 from .measures import DiscreteMeasure, bernoulli, check_p, moments_of
 
-# Largest matrix dimension. In the worst case (p = 1/2, two equal atoms) the
-# compressed eigenproblem keeps dimension n, and one draw at n = 2500 peaks
-# at about 0.37 GB above the interpreter's own memory.
+# Largest matrix dimension. In the worst case (p = 1/2, three or more atoms
+# none of which holds more than half the weight) the compressed eigenproblem
+# keeps dimension n; one draw at n = 2500, p = 1/2, weights (1/2, 1/4, 1/4)
+# peaks at about 0.30 GB above the interpreter's own memory (tracemalloc).
 MAX_SIM_DIM = 2500
 
 
@@ -78,6 +95,8 @@ def sample_haar_isometry(n, k, seed):
     The diagonal phase of R is divided out so the distribution is exactly
     Haar rather than QR-convention dependent.
     """
+    if not 0 <= k <= n:
+        raise SizeError(f"isometry needs 0 <= k <= n, got n = {n}, k = {k}")
     rng = np.random.default_rng(seed)
     z = (rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))) / np.sqrt(2)
     q, r = np.linalg.qr(z)
@@ -132,16 +151,66 @@ def _rotated_spectrum(model: MatrixModel, q):
     return np.concatenate([np.linalg.eigvalsh(small), *rest]) + shift
 
 
+def _squared_cosines(g, a, b, rng):
+    """g draws of the beta = 2 Jacobi ensemble prod lambda^a (1 - lambda)^b |Vandermonde|^2.
+
+    The Edelman-Sutton model: the squared singular values of the upper
+    bidiagonal B whose row i (k = g - i + 1) has diagonal c_k s'_k (s'_g = 1)
+    and superdiagonal -s_k c'_{k-1}, with c_k^2 ~ Beta(a + k, b + k) and
+    c'_k^2 ~ Beta(k, a + b + 1 + k), all independent. They are the
+    eigenvalues of the tridiagonal B^T B.
+    """
+    if g == 0:
+        return np.empty(0)
+    k = np.arange(g, 0, -1)
+    c2 = rng.beta(a + k, b + k)
+    cp2 = rng.beta(k[1:], a + b + 1 + k[1:])
+    d2 = c2 * np.concatenate([[1.0], 1.0 - cp2])
+    e2 = (1.0 - c2[:-1]) * cp2
+    lam = eigvalsh_tridiagonal(d2 + np.concatenate([[0.0], e2]), np.sqrt(d2[:-1] * e2))
+    return np.clip(lam, 0.0, 1.0)
+
+
+def _two_atom_spectrum(model: MatrixModel):
+    """Eigenvalues (unordered) of E + U D U* for a two-atom law, from its principal angles.
+
+    Each squared cosine lambda gives the two roots of the 2 x 2 block of the
+    module docstring; the root of the same sign as the half trace m is
+    m +- h, the other is det / (m +- h), so neither cancels.
+    """
+    n, r = model.n, model.rank()
+    s = min(r, n - r)
+    sigma, shift = (1.0, 0.0) if r <= n - r else (-1.0, 1.0)
+    (a1, _), (a2, _) = model.y_law.atoms
+    a1, a2 = float(a1), float(a2)
+    n1, n2 = (int(c) for c in spectral_multiplicities(model.y_law, n))
+    g = min(n1, n2, s)
+    lam = _squared_cosines(g, abs(n1 - s), abs(n2 - s), np.random.default_rng(model.seed))
+    m = 0.5 * (a1 + a2 + sigma)
+    h = np.hypot(0.5 * (a1 - a2) + sigma * (lam - 0.5), np.sqrt(lam * (1.0 - lam)))
+    big = m + np.copysign(h, m)
+    det = a1 * a2 + sigma * (a1 * (1.0 - lam) + a2 * lam)
+    small = np.divide(det, big, out=np.zeros_like(big), where=big != 0.0)  # big = 0: both roots 0
+    structural = np.repeat(
+        [a1, a2, a1 + sigma, a2 + sigma],
+        [max(0, n1 - s), max(0, n2 - s), max(0, s - n2), max(0, s - n1)],
+    )
+    return np.concatenate([big, small, structural]) + shift
+
+
 def _realize(model: MatrixModel, rotate=True):
     """Eigenvalues of E + Y.
 
     rotate=True draws the Haar-rotated (asymptotically free) model in the
-    compressed form of the module docstring; rotate=False interleaves the y
-    spectrum inside each E block so E and Y commute and realize classical
-    independence up to rounding.
+    compressed form of the module docstring, from the principal angles when
+    the law has two atoms; rotate=False interleaves the y spectrum inside
+    each E block so E and Y commute and realize classical independence up to
+    rounding.
     """
     n, r = model.n, model.rank()
     if rotate:
+        if len(model.y_law.atoms) == 2:
+            return _two_atom_spectrum(model)
         return _rotated_spectrum(model, sample_haar_isometry(n, min(r, n - r), model.seed))
     d1 = _eigenvalue_vector(model.y_law, r)
     d0 = _eigenvalue_vector(model.y_law, n - r)

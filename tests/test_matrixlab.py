@@ -40,6 +40,12 @@ def test_haar_isometry_columns_orthonormal():
         assert np.max(np.abs(q.conj().T @ q - np.eye(k)), initial=0.0) < 1e-12
 
 
+def test_haar_isometry_refuses_k_outside_0_to_n():
+    for k in (-1, 41):
+        with pytest.raises(SizeError):
+            ml.sample_haar_isometry(40, k, 5)
+
+
 def test_haar_unitary_scalar():
     u = ml.sample_haar_unitary(1, 3)
     assert u.shape == (1, 1)
@@ -147,6 +153,102 @@ def test_law_matches_dense_haar_model(p, law):
     stderr = np.sqrt((new.var(axis=0, ddof=1) + old.var(axis=0, ddof=1)) / reps)
     diff = np.abs(new.mean(axis=0) - old.mean(axis=0))
     assert np.all(diff <= 5.0 * stderr + 1e-12), (diff, stderr)
+
+
+# Two-atom laws, drawn from their principal angles: (n, p, first-atom weight)
+# for n_1 < s, n_2 < s, a = b = 0, r > n - r (a = 0), n_1 > s, rank 0,
+# rank n, and an atom whose multiplicity rounds to 0 (n_1 = 0).
+ANGLE_SHAPES = [
+    (20, 0.5, 0.3),
+    (20, 0.5, 0.8),
+    (20, 0.5, 0.5),
+    (20, 0.7, 0.3),
+    (20, 0.2, 0.3),
+    (7, 0.05, 0.3),
+    (7, 0.95, 0.3),
+    (20, 0.3, 0.02),
+]
+
+
+def _two_atom_law(weight):
+    return DiscreteMeasure.from_atoms([(-1.0, weight), (0.5, 1.0 - weight)], mode="float")
+
+
+def _angle_shape(n, p, weight):
+    """(law, s, sigma, shift, n_1, n_2) of a two-atom model."""
+    law = _two_atom_law(weight)
+    r = round(p * n)
+    sigma, shift = (1.0, 0.0) if r <= n - r else (-1.0, 1.0)
+    n1, n2 = (int(c) for c in ml.spectral_multiplicities(law, n))
+    return law, min(r, n - r), sigma, shift, n1, n2
+
+
+@pytest.mark.parametrize("n,p,weight", ANGLE_SHAPES)
+def test_two_atom_law_matches_rotated_spectrum(n, p, weight):
+    law, s, *_ = _angle_shape(n, p, weight)
+    reps, ks = 2000, np.arange(1, 7)
+    angle = np.array([ml._realize(ml.MatrixModel(n, p, law, seed)) for seed in range(reps)])
+    model = ml.MatrixModel(n, p, law, 0)
+    general = np.array(
+        [ml._rotated_spectrum(model, ml.sample_haar_isometry(n, s, reps + seed)) for seed in range(reps)]
+    )
+    new = (angle[:, :, None] ** ks).mean(axis=1)
+    old = (general[:, :, None] ** ks).mean(axis=1)
+    stderr = np.sqrt((new.var(axis=0, ddof=1) + old.var(axis=0, ddof=1)) / reps)
+    diff = np.abs(new.mean(axis=0) - old.mean(axis=0))
+    assert np.all(diff <= 5.0 * stderr + 1e-12), (diff, stderr)
+
+
+@pytest.mark.parametrize("n,p,weight", ANGLE_SHAPES)
+def test_two_atom_spectrum_structure(n, p, weight):
+    law, s, sigma, shift, n1, n2 = _angle_shape(n, p, weight)
+    structural = {
+        -1.0: max(0, n1 - s),
+        0.5: max(0, n2 - s),
+        -1.0 + sigma: max(0, s - n2),
+        0.5 + sigma: max(0, s - n1),
+    }
+    for seed in range(50):
+        lam = ml._realize(ml.MatrixModel(n, p, law, seed))
+        assert len(lam) == n
+        for value, count in structural.items():
+            assert np.sum(np.abs(lam - (value + shift)) < 1e-9) == count
+
+
+@pytest.mark.parametrize("n,p,weight", ANGLE_SHAPES)
+def test_squared_cosines_match_principal_angles(n, p, weight):
+    # power sums 1..6 of the Jacobi draw vs those of the generic squared
+    # singular values of the n_1 x s block of a Haar isometry
+    _, s, _, _, n1, n2 = _angle_shape(n, p, weight)
+    g, reps, ks = min(n1, n2, s), 3000, np.arange(1, 7)
+    rng = np.random.default_rng(4)
+    new = np.array(
+        [ml._squared_cosines(g, abs(n1 - s), abs(n2 - s), rng)[:, None] ** ks for _ in range(reps)]
+    ).sum(axis=1)
+    old = np.empty((reps, len(ks)))
+    for seed in range(reps):
+        cos2 = np.linalg.svd(ml.sample_haar_isometry(n, s, seed)[:n1], compute_uv=False) ** 2
+        old[seed] = (np.sort(cos2)[:g, None] ** ks).sum(axis=0)
+    stderr = np.sqrt((new.var(axis=0, ddof=1) + old.var(axis=0, ddof=1)) / reps)
+    diff = np.abs(new.mean(axis=0) - old.mean(axis=0))
+    assert np.all(diff <= 5.0 * stderr + 1e-12), (diff, stderr)
+    # E tr(P F) = s n_1 / n, where the angles in ran P ∩ ran F have cos^2 = 1
+    sums = new[:, 0] + max(0, s - n2)
+    assert abs(sums.mean() - s * n1 / n) <= 5.0 * sums.std(ddof=1) / np.sqrt(reps) + 1e-12
+
+
+@pytest.mark.parametrize("n,p,weight", ANGLE_SHAPES)
+def test_two_atom_assembly_is_exact_on_given_angles(n, p, weight, monkeypatch):
+    # the principal angles of one isometry q give the spectrum _rotated_spectrum finds for q
+    law, s, _, _, n1, n2 = _angle_shape(n, p, weight)
+    model = ml.MatrixModel(n, p, law, 0)
+    q = ml.sample_haar_isometry(n, s, 17)
+    cos2 = np.sort(np.linalg.svd(q[:n1], compute_uv=False) ** 2)
+    generic = cos2[: len(cos2) - max(0, s - n2)]  # drop ran P ∩ ran F, where cos^2 = 1
+    monkeypatch.setattr(ml, "_squared_cosines", lambda g, a, b, rng: generic[:g])
+    assert len(generic) == min(n1, n2, s)
+    got = np.sort(ml._realize(model))
+    assert np.max(np.abs(got - np.sort(ml._rotated_spectrum(model, q))), initial=0.0) < 1e-12
 
 
 def test_spectral_function_application():
