@@ -76,8 +76,12 @@ def sawtooth(t):
 def psi(t, p):
     """The dual function h(t)/(q-p) - t; undefined at p = 1/2."""
     p = check_p(p)
-    q = 1 - p
-    return sawtooth(t) / (q - p) - t
+    return _psi(t, 1 - p - p)
+
+
+def _psi(t, q_minus_p):
+    """psi for a p already checked; its callers compute q - p once, not per point."""
+    return sawtooth(t) / q_minus_p - t
 
 
 def verify_identity(p, grid) -> bool:
@@ -87,8 +91,9 @@ def verify_identity(p, grid) -> bool:
     """
     p = check_p(p)
     q = 1 - p
+    d = q - p
     for t in grid:
-        lhs = q * psi(t, p) + p * psi(1 + t, p)
+        lhs = q * _psi(t, d) + p * _psi(1 + t, d)
         rhs = sawtooth(t) - t - p
         if isinstance(lhs, float) or isinstance(rhs, float):
             if abs(lhs - rhs) > 1e-12:
@@ -124,9 +129,8 @@ def verify_inequality_exact(p) -> CertificateReport:
     max_violation = max(max(v for _, v in candidates), -Fraction(3, 2))
     witnesses = sorted({t for t, v in candidates if v == max_violation})
     q = 1 - p
-    wit = tuple(
-        (t, q * psi(t, p) + p * psi(1 + t, p), t * t - p) for t in witnesses
-    )
+    d = q - p
+    wit = tuple((t, q * _psi(t, d) + p * _psi(1 + t, d), t * t - p) for t in witnesses)
     identity_ok = verify_identity(
         p, [Fraction(i, 7) - 3 for i in range(43)]
     )
@@ -143,9 +147,10 @@ def verify_inequality_grid(p, grid) -> CertificateReport:
     """Sampled version of the dual inequality; max slack over the grid."""
     p = check_p(p)
     q = 1 - p
+    d = q - p
     rows = []
     for t in grid:
-        lhs = q * psi(t, p) + p * psi(1 + t, p)
+        lhs = q * _psi(t, d) + p * _psi(1 + t, d)
         rhs = t * t - p
         rows.append((t, lhs, rhs))
     worst = max(rows, key=lambda r: r[1] - r[2])
@@ -168,7 +173,8 @@ def certificate_lower_bound(mu: DiscreteMeasure, p):
     """
     p = check_p(float(p) if mu.mode == "float" else Fraction(p))
     q = 1 - p
+    d = q - p
     total = 0
     for t, w in mu.atoms:
-        total += w * (t * t - p - q * psi(t, p) - p * psi(1 + t, p))
+        total += w * (t * t - p - q * _psi(t, d) - p * _psi(1 + t, d))
     return total

@@ -1,7 +1,7 @@
 """Batch command-line front-end.
 
 Subcommands: convolve, symmetry, certify, optimize, simulate. Output is JSON
-(or CSV where noted); errors are JSON objects with "error" and "hint" keys.
+(or CSV from simulate --output csv); errors are JSON with "error" and "hint" keys.
 Exit codes: 0 success, 1 validation error, 2 critical case p = 1/2.
 """
 
@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -64,7 +65,7 @@ def _emit(args, text):
         with open(args.outfile, "w") as fh:
             fh.write(text if text.endswith("\n") else text + "\n")
     else:
-        print(text)
+        print(text, flush=True)  # a reader that closed stdout shows here, not at exit
 
 
 def _cmd_convolve(args):
@@ -192,16 +193,12 @@ def build_parser():
     ap = _Parser(prog="symvar")
     sub = ap.add_subparsers(dest="subcommand", required=True)
 
-    def common(sp):
-        sp.add_argument("--output", choices=["json", "csv"], default="json")
-        sp.add_argument("--outfile", default=None)
-
     sp = sub.add_parser("convolve", help="moments of a sum under an independence kind")
     sp.add_argument("--kind", required=True)
     sp.add_argument("--x", required=True, help="measure JSON (inline or @file)")
     sp.add_argument("--y", required=True)
     sp.add_argument("--order", type=int, default=8)
-    common(sp)
+    sp.add_argument("--outfile", default=None)
     sp.set_defaults(func=_cmd_convolve)
 
     sp = sub.add_parser("symmetry", help="odd-moment residual of e + y")
@@ -209,14 +206,14 @@ def build_parser():
     sp.add_argument("--measure", required=True)
     sp.add_argument("--kind", required=True)
     sp.add_argument("--order", type=int, default=13)
-    common(sp)
+    sp.add_argument("--outfile", default=None)
     sp.set_defaults(func=_cmd_symmetry)
 
     sp = sub.add_parser("certify", help="verify the sawtooth dual certificate")
     sp.add_argument("--p", required=True)
     sp.add_argument("--mode", choices=["exact", "grid"], default="exact")
     sp.add_argument("--grid", default="-5:5:0.001")
-    common(sp)
+    sp.add_argument("--outfile", default=None)
     sp.set_defaults(func=_cmd_certify)
 
     sp = sub.add_parser("optimize", help="minimum symmetrizer variance")
@@ -229,7 +226,7 @@ def build_parser():
     sp.add_argument("--restarts", type=int, default=32)
     sp.add_argument("--atoms", type=int, default=6)
     sp.add_argument("--allow-critical", action="store_true")
-    common(sp)
+    sp.add_argument("--outfile", default=None)
     sp.set_defaults(func=_cmd_optimize)
 
     sp = sub.add_parser("simulate", help="random-matrix experiments")
@@ -241,7 +238,8 @@ def build_parser():
     sp.add_argument("--order", type=int, default=8)
     sp.add_argument("--reps", type=int, default=10)
     sp.add_argument("--seed", type=int, default=None)
-    common(sp)
+    sp.add_argument("--output", choices=["json", "csv"], default="json")
+    sp.add_argument("--outfile", default=None)
     sp.set_defaults(func=_cmd_simulate)
 
     return ap
@@ -253,6 +251,10 @@ def main(argv=None):
         return args.func(args)
     except SystemExit as exc:  # --help
         return exc.code or 0
+    except BrokenPipeError:
+        # write nothing more; stdout goes to devnull so the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except CriticalCaseError as exc:
         print(json.dumps({"error": str(exc), "hint": "p=1/2 is an open problem; pick p != 1/2"}))
         return 2

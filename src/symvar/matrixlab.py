@@ -45,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal
 
-from .certificate import psi as _psi
+from .certificate import _psi
 from .cumulants import MAX_ORDER, IndependenceKind, MomentSequence, convolve_moments
 from .errors import SizeError
 from .measures import DiscreteMeasure, bernoulli, check_p, moments_of
@@ -240,10 +240,10 @@ def test_proof_identity(model: MatrixModel, grid_free=True, func=None):
     different test function may be supplied via func (e.g. identity).
     """
     p = model.p
-    if func is None:
-        check_p(p)  # psi divides by 1 - 2p
-        func = lambda t: _psi(t, p)  # noqa: E731
     q = 1.0 - p
+    if func is None:
+        d = q - check_p(p)  # psi divides by q - p = 1 - 2p
+        func = lambda t: _psi(t, d)  # noqa: E731
     lam = _realize(model, rotate=grid_free)
     lhs = float(np.mean([func(t) for t in lam]))
     dy = _eigenvalue_vector(model.y_law, model.n)

@@ -18,8 +18,9 @@ projection all read this one map.
 
 The starts run in lockstep: every start is a lane of one Nelder-Mead loop
 that follows scipy's method step for step, and each iteration evaluates the
-four trial points of every lane in one batched objective call. The best
-point is then projected onto the odd-cumulant equations by least squares.
+four trial points of every lane in one batched objective call. The atoms
+that carry weight at the best point (weight above 1e-12) are then projected
+onto the odd-cumulant equations by least squares; the others stay dropped.
 The reported residual is the largest odd moment of e+y, computed from the
 returned measure through convolve_moments as for the LP.
 OptResult.evaluations counts every row of the odd-cumulant map: trial points
@@ -93,15 +94,12 @@ class GridSpec:
 class SearchConfig:
     """Knobs for the free/Boolean penalized multi-start search."""
 
-    max_odd_order: int = 13
     penalty_weights: tuple = (1e2, 1e4, 1e6, 1e8)
     restarts: int = 32
     atom_budget: int = 6
     seed: int = 0
 
     def __post_init__(self):
-        if self.max_odd_order % 2 == 0 or not 1 <= self.max_odd_order <= MAX_ORDER:
-            raise SizeError(f"max_odd_order must be odd and in 1..{MAX_ORDER}")
         if list(self.penalty_weights) != sorted(set(self.penalty_weights)) or min(
             self.penalty_weights
         ) <= 0:
@@ -318,17 +316,17 @@ def nc_min_variance(p, kind, cfg: SearchConfig = SearchConfig(), allow_critical=
     (zero exactly when its odd moments are).
     Multi-start: cfg.restarts random initializations plus the known equality
     candidate y = -e in law, all run in lockstep (one batched objective call
-    per Nelder-Mead iteration). The best point is then projected onto the
-    odd-cumulant equations k_odd(y) = -k_odd(e) by least squares and kept if
-    that lowers its residual. Deterministic for a fixed config.
+    per Nelder-Mead iteration). The best candidate's atoms of weight above
+    1e-12 are then projected onto k_odd(y) = -k_odd(e), odd orders up to
+    MAX_ORDER, by least squares, kept if that lowers the residual.
+    Deterministic for a fixed config.
     """
     pf = check_p(float(p), allow_critical)
     kind = IndependenceKind(kind)
     if kind is IndependenceKind.CLASSICAL:
         raise SizeError("use classical_min_variance for the classical kind")
-    order = max(cfg.max_odd_order, 2)  # m2(y) is the objective
     k = cfg.atom_budget
-    e_kappa = _BATCH_M2K[kind](np.full(order, pf))  # Bernoulli(p): m_n = p
+    e_kappa = _BATCH_M2K[kind](np.full(MAX_ORDER, pf))  # Bernoulli(p): m_n = p
     evaluations = 0  # rows evaluated, by the search and the projection
 
     def odd_cumulants(locs, weights):
@@ -367,23 +365,12 @@ def nc_min_variance(p, kind, cfg: SearchConfig = SearchConfig(), allow_critical=
         xr[:k] = rng.uniform(-3, 2, k)
         xr[k:] = rng.normal(0, 1, k)
 
-    # the initial points themselves are candidates: the seeded start is the
-    # theorem's equality case and must never be lost to solver drift
-    candidates = [evaluate(starts)]
     x = starts
     for lam in cfg.penalty_weights:
         x = _nelder_mead(objective(lam), x, 60 * k, 1e-7, 1e-10)[0]
-    explored = evaluate(x)
-    candidates.append(explored)
-
-    # polish the most promising explored points hard at the final penalty
-    lam_final = cfg.penalty_weights[-1]
-    _, m2, res = explored
-    promising = np.lexsort((m2 + lam_final * res**2, res >= 1e-6))[:4]
-    polished = _nelder_mead(objective(lam_final), x[promising], 300 * k, 1e-10, 1e-14)[0]
-    candidates.append(evaluate(polished))
-
-    xs, m2, res = (np.concatenate(c) for c in zip(*candidates))
+    # the initial points themselves are candidates: the seeded start is the
+    # theorem's equality case and must never be lost to solver drift
+    xs, m2, res = (np.concatenate(c) for c in zip(evaluate(starts), evaluate(x)))
     feasible = res < 1e-6
     best = np.lexsort((res, m2, ~feasible))[0] if feasible.any() else np.lexsort((m2, res))[0]
 
@@ -392,23 +379,27 @@ def nc_min_variance(p, kind, cfg: SearchConfig = SearchConfig(), allow_critical=
         mu = DiscreteMeasure.from_atoms(
             list(zip(locs[keep], weights[keep] / weights[keep].sum())), mode="float"
         )
-        my = moments_of(mu, order)
-        msum = convolve_moments(moments_of(bernoulli(pf), order), my, kind)
+        my = moments_of(mu, MAX_ORDER)
+        msum = convolve_moments(moments_of(bernoulli(pf), MAX_ORDER), my, kind)
         return mu, my.values[1], float(odd_moment_residual(msum))
 
-    # projection in (locations, weights): a weight can reach its bound 0,
-    # which a softmax logit reaches only at -inf
+    # projection in (locations, weights) of the atoms that carry weight, the
+    # ones report keeps: a dropped atom stays dropped, and a weight can reach
+    # its bound 0, which a softmax logit reaches only at -inf
+    locs, weights = (v[0] for v in unpack(xs[best][None]))
+    keep = weights > 1e-12
+    z0, m = np.concatenate([locs[keep], weights[keep]]), keep.sum()
+
     def gap(z):
-        odd = odd_cumulants(z[:, :k], z[:, k:])[0]
-        return np.hstack([odd, z[:, k:].sum(axis=1, keepdims=True) - 1.0])
+        odd = odd_cumulants(z[:, :m], z[:, m:])[0]
+        return np.hstack([odd, z[:, m:].sum(axis=1, keepdims=True) - 1.0])
 
     def gap_jacobian(z):
         h = 1.49e-8 * np.maximum(1.0, np.abs(z))  # forward differences in one batched call
         g = gap(np.vstack([z, z + np.diag(h)]))
         return ((g[1:] - g[0]) / h[:, None]).T
 
-    z0 = np.concatenate(unpack(xs[best][None]), axis=1)[0]
-    bounds = (np.r_[np.full(k, -3.0), np.zeros(k)], np.r_[np.full(k, 2.0), np.full(k, np.inf)])
+    bounds = (np.r_[np.full(m, -3.0), np.zeros(m)], np.r_[np.full(m, 2.0), np.full(m, np.inf)])
     # scipy's default tolerances (1e-8) stop it at once: the gap is already ~1e-8
     projected = least_squares(lambda z: gap(z[None])[0], z0, jac=gap_jacobian, bounds=bounds,
                               method="trf", ftol=1e-15, xtol=1e-15, gtol=1e-15)

@@ -1,5 +1,8 @@
+import csv
+import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -263,6 +266,9 @@ def test_negative_seed_exit_1(capsys, argv):
         ["convolve", "--kind", "classical", "--x",
          '{"atoms":[[3e23,0.5],[-2e22,0.5]],"mode":"float"}', "--y", FLOAT_NEG_BERN,
          "--order", "13"],
+        # only simulate writes CSV; the other subcommands have no --output
+        ["certify", "--p", "0.3", "--output", "csv"],
+        ["optimize", "--kind", "classical", "--p", "0.3", "--output", "csv"],
     ],
 )
 @pytest.mark.filterwarnings("error")  # a numpy warning on stderr breaks the contract too
@@ -290,6 +296,50 @@ def _env_after_import(**preset):
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120, check=True)
     return done.stdout.split()
+
+
+@pytest.mark.parametrize("unbuffered", [True, False])
+def test_closed_stdout_exits_1_without_traceback(unbuffered):
+    # the reader is gone before anything is written, as with `symvar ... | head -c 100`
+    # once head has exited: the write fails with BrokenPipeError, unbuffered or at the flush
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(symvar.__file__).resolve().parents[1])
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "symvar.cli", "simulate", "--p", "0.7", "--n", "30",
+             "--order", "4", "--reps", "3", "--seed", "2"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert done.returncode == 1
+    assert done.stderr == b""
+
+
+def _readme_cli_examples():
+    """Every `symvar ...` command of README's CLI block, continuation lines joined."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()
+            if line.startswith("symvar ")]
+
+
+def test_readme_cli_examples(capsys):
+    examples = _readme_cli_examples()
+    assert len(examples) == 8
+    for argv in examples:
+        code = main(argv[1:])
+        out = capsys.readouterr().out
+        assert code == 0, argv
+        if argv[-2:] == ["--output", "csv"]:
+            rows = [row for row in csv.reader(io.StringIO(out)) if row]
+            assert len(rows) > 1 and len({len(row) for row in rows}) == 1, argv
+        else:
+            json.loads(out, parse_constant=_reject_non_finite)
 
 
 def test_symvar_threads_sets_blas_variables():

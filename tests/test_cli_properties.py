@@ -50,7 +50,6 @@ INCLUDE = _mostly(
 KIND = _mostly(st.sampled_from(["classical", "free", "boolean", "FREE"]), st.just("monotone"))
 ORDER = _mostly(st.integers(1, 13), st.sampled_from([-1, 0, 14, 15]))
 RELAX_ORDER = st.one_of(st.none(), _mostly(st.integers(0, 6), st.sampled_from([-1, 7])))
-OUTPUT = st.sampled_from(["json", "csv"])
 
 
 @st.composite
@@ -105,9 +104,9 @@ def _command(name, **options):
 
 
 ARGV = st.one_of(
-    _command("convolve", kind=KIND, x=measures(), y=measures(), order=ORDER, output=OUTPUT),
+    _command("convolve", kind=KIND, x=measures(), y=measures(), order=ORDER),
     _command("symmetry", p=P, kind=KIND, measure=measures(), order=ORDER),
-    _command("certify", p=P, mode=st.sampled_from(["exact", "grid"]), grid=GRID, output=OUTPUT),
+    _command("certify", p=P, mode=st.sampled_from(["exact", "grid"]), grid=GRID),
     _command("optimize", kind=st.just("classical"), p=P, grid=GRID, include=INCLUDE,
              relax_order=RELAX_ORDER),
 )
