@@ -18,7 +18,7 @@ from . import matrixlab
 from .certificate import verify_inequality_exact, verify_inequality_grid
 from .cumulants import IndependenceKind, convolve_moments, odd_moment_residual
 from .errors import CriticalCaseError, SymvarError
-from .measures import DiscreteMeasure, _num_str, bernoulli, moments_of
+from .measures import DiscreteMeasure, _num_str, bernoulli, check_p, moments_of
 from .optimizer import GridSpec, SearchConfig, classical_min_variance, nc_min_variance
 
 
@@ -61,11 +61,12 @@ def _load_measure(text):
 
 
 def _emit(args, text):
+    text = text if text.endswith("\n") else text + "\n"  # CSV text already ends in \r\n
     if args.outfile:
         with open(args.outfile, "w") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+            fh.write(text)
     else:
-        print(text, flush=True)  # a reader that closed stdout shows here, not at exit
+        print(text, end="", flush=True)  # a reader that closed stdout shows here, not at exit
 
 
 def _cmd_convolve(args):
@@ -124,14 +125,18 @@ def _cmd_optimize(args):
             )
         else:
             result = classical_min_variance(p, grid, mode="exact_law")
+    elif kind is IndependenceKind.BOOLEAN:
+        pf = check_p(float(p), args.allow_critical)
+        given = [f"--{flag}" for flag in ("seed", "restarts", "atoms")
+                 if getattr(args, flag) is not None]
+        if given:
+            raise SymvarError(f"the Boolean minimum is an LP and reads no {', '.join(given)}")
+        result = nc_min_variance(pf, kind, allow_critical=args.allow_critical)
     else:
         if args.seed is None:
             raise SymvarError("--seed is required for randomized searches")
-        cfg = SearchConfig(
-            restarts=args.restarts,
-            atom_budget=args.atoms,
-            seed=args.seed,
-        )
+        knobs = {"restarts": args.restarts, "atom_budget": args.atoms, "seed": args.seed}
+        cfg = SearchConfig(**{key: v for key, v in knobs.items() if v is not None})
         result = nc_min_variance(float(p), kind, cfg, allow_critical=args.allow_critical)
     _emit(args, result.to_json())
     return 0
@@ -223,8 +228,8 @@ def build_parser():
     sp.add_argument("--include", default="-1,0")
     sp.add_argument("--relax-order", type=int, default=None)
     sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--restarts", type=int, default=32)
-    sp.add_argument("--atoms", type=int, default=6)
+    sp.add_argument("--restarts", type=int, default=None)  # free only, like --seed and --atoms
+    sp.add_argument("--atoms", type=int, default=None)
     sp.add_argument("--allow-critical", action="store_true")
     sp.add_argument("--outfile", default=None)
     sp.set_defaults(func=_cmd_optimize)
@@ -245,21 +250,31 @@ def build_parser():
     return ap
 
 
-def main(argv=None):
+def _run(argv):
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
     except SystemExit as exc:  # --help
+        sys.stdout.flush()
         return exc.code or 0
+    except CriticalCaseError as exc:
+        print(json.dumps({"error": str(exc), "hint": "p=1/2 is an open problem; pick p != 1/2"}),
+              flush=True)
+        return 2
     except BrokenPipeError:
+        raise  # an OSError, but not a bad input: main handles it
+    except (SymvarError, OSError, json.JSONDecodeError, KeyError) as exc:
+        print(json.dumps({"error": str(exc), "hint": "check parameters and input files"}),
+              flush=True)
+        return 1
+
+
+def main(argv=None):
+    try:
+        return _run(argv)
+    except BrokenPipeError:  # from a result or from an error report
         # write nothing more; stdout goes to devnull so the flush at exit cannot fail again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 1
-    except CriticalCaseError as exc:
-        print(json.dumps({"error": str(exc), "hint": "p=1/2 is an open problem; pick p != 1/2"}))
-        return 2
-    except (SymvarError, OSError, json.JSONDecodeError, KeyError) as exc:
-        print(json.dumps({"error": str(exc), "hint": "check parameters and input files"}))
         return 1
 
 

@@ -34,20 +34,21 @@ of the denominators and is often far smaller: the moments of a law on
 (1/4)Z with weights over w have denominators dividing 4^n w, so c divides
 4w, where the lcm reaches 4^N w.
 
-The free/Boolean search needs many sequences at once, and only moments to
+The free search needs many sequences at once, and only moments to
 cumulants: cumulants add, and every partition of an odd set has a block of
 odd size, so the odd moments of e+y up to order N vanish exactly when its odd
 cumulants k_odd(e) + k_odd(y) do, and the search penalizes those. For it the
-numpy kernels below map one (R, N) batch of moment rows to cumulant rows per
-call. The free kernel is Lagrange inversion (Nica-Speicher, Lectures on the
-Combinatorics of Free Probability, Lect. 16),
+numpy kernel below maps one (R, N) batch of moment rows to cumulant rows per
+call. It is Lagrange inversion (Nica-Speicher, Lectures on the Combinatorics
+of Free Probability, Lect. 16),
 
   k_n = -[t^n] M(t)^(1-n) / (n-1)  (n >= 2),
 
 a diagonal of successive powers of 1/M, so N - 1 stacked mat-vecs with a
 lower-triangular Toeplitz matrix (one matmul per power, all rows at once)
-give every entry. The Boolean kernel is one series reciprocal,
-K(z) = sum_n k_n z^n = 1 - 1/M(z), by forward substitution over the rows.
+give every entry. The Boolean minimum needs no such kernel: it is an LP over
+the measure of y's F-transform, whose moments are y's Boolean cumulants from
+k_2 on (see optimizer).
 """
 
 from __future__ import annotations
@@ -228,11 +229,6 @@ def _free_m2k_float(m):
         q = lt @ q
         k[..., n - 1] = q[..., n, 0] / (1 - n)
     return k
-
-
-def _boolean_m2k_float(m):
-    """Boolean cumulants of each row of m: K = 1 - 1/M."""
-    return -_reciprocal(_unit_series(m))[..., 1:]
 
 
 def convolve_moments(mx: MomentSequence, my: MomentSequence, kind) -> MomentSequence:

@@ -1,30 +1,42 @@
-"""Minimum symmetrizer variance: exact LP classically, penalized search otherwise.
+"""Minimum symmetrizer variance: LPs classically and for Boolean, search for free.
 
 Classically the symmetry constraints are linear in the weights of a gridded
 law for Y, so the minimum of Var(Y) is an LP; its rows are assembled as a
 sparse matrix and solved by scipy's HiGHS (Huangfu-Hall dual revised
-simplex). For free and Boolean independence we run a multi-start penalized
-Nelder-Mead over atom locations and softmax weights; the theorems say the
-answer is p, and the search doubles as a falsifier.
+simplex).
 
-The search works in cumulant coordinates. Cumulants add, and every partition
-of an odd set has a block of odd size, so the odd moments of e+y up to order
-N vanish exactly when its odd cumulants k_odd(e) + k_odd(y) do: the
-symmetry constraints are linear in y's cumulants, and penalizing them is
-exact. One evaluation therefore needs only y's moments (one cumprod and one
-stacked matmul) and the batched moments-to-cumulants kernel; e's cumulants
-are computed once. The penalty, the ranking of candidates and the final
-projection all read this one map.
+The Boolean minimum is an LP too, over the measure rho of y's F-transform
+F_y(z) = z - k_1 - int drho(t) / (z - t), whose moments are y's Boolean
+cumulants k_2, k_3, .. (Speicher-Woroudi, "Boolean convolution", 1997).
+Cumulants add, and every partition of an odd set has a block of odd size,
+so e+y is symmetric up to the odd order N exactly when its odd cumulants
+vanish: when k_1(y) = -p and rho's odd moments 1, 3, .., N-2 are those of
+pq delta_{-q} (the rho of y = -e). Then m_2(y) = p^2 + rho(R). y comes back
+from rho exactly: F_y is the resolvent at e_1 of the arrowhead matrix
+[[-p, sqrt(rho)^T], [sqrt(rho), diag(t)]]. The theorem's bound p is for
+symmetry at every order; at N = 13 on [-3, 2] the LP gives p for p <= 0.71
+and less above.
+
+For free independence we run a multi-start penalized Nelder-Mead over atom
+locations and softmax weights; the theorem says the answer is p, and the
+search doubles as a falsifier.
+
+The search works in cumulant coordinates: by the same argument, the
+symmetry constraints k_odd(e) + k_odd(y) = 0 are linear in y's free
+cumulants, and penalizing them is exact. One evaluation therefore needs
+only y's moments (one cumprod and one stacked matmul) and the batched
+moments-to-cumulants kernel; e's cumulants are computed once. The penalty,
+the ranking of candidates and the final projection all read this one map.
 
 The starts run in lockstep: every start is a lane of one Nelder-Mead loop
 that follows scipy's method step for step, and each iteration evaluates the
 four trial points of every lane in one batched objective call. The atoms
 that carry weight at the best point (weight above 1e-12) are then projected
 onto the odd-cumulant equations by least squares; the others stay dropped.
-The reported residual is the largest odd moment of e+y, computed from the
-returned measure through convolve_moments as for the LP.
+Every result reports as residual the largest odd moment of e+y, computed
+from the returned measure through convolve_moments.
 OptResult.evaluations counts every row of the odd-cumulant map: trial points
-whether chosen or not, the candidates and the projection.
+whether chosen or not, the candidates and the projection; it is 0 for an LP.
 """
 
 from __future__ import annotations
@@ -40,7 +52,6 @@ from scipy.optimize import least_squares, linprog
 from .cumulants import (
     MAX_ORDER,
     IndependenceKind,
-    _boolean_m2k_float,
     _free_m2k_float,
     convolve_moments,
     odd_moment_residual,
@@ -92,7 +103,7 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Knobs for the free/Boolean penalized multi-start search."""
+    """Knobs for the free penalized multi-start search; the Boolean LP reads none."""
 
     penalty_weights: tuple = (1e2, 1e4, 1e6, 1e8)
     restarts: int = 32
@@ -119,6 +130,8 @@ class OptResult:
     """Solution report; objective is recomputed from the measure, not the solver.
 
     An infeasible result has no measure, objective or residual (all None).
+    order is the highest odd order whose symmetry is constrained; None when
+    the whole law of X+Y is (the classical exact_law LP).
     """
 
     objective: float | None
@@ -126,6 +139,7 @@ class OptResult:
     residual: float | None
     status: str  # "optimal" | "feasible" | "infeasible"
     evaluations: int = 0  # objective evaluations of the search; 0 for the LP
+    order: int | None = None
 
     def to_json(self):
         return json.dumps(
@@ -135,13 +149,37 @@ class OptResult:
                 "residual": self.residual,
                 "measure": json.loads(self.measure.to_json()) if self.measure else None,
                 "evaluations": self.evaluations,
+                "order": self.order,
             }
         )
 
 
 # ---------------------------------------------------------------------------
-# Classical LP
+# LPs: classical and Boolean
 # ---------------------------------------------------------------------------
+
+def _lp(c, A, b, law, objective, pf, kind, order):
+    """min c.x over x >= 0 with A x = b by HiGHS, reported as the law y = law(x).
+
+    law maps the solution to y's (locations, weights); atoms of weight above
+    1e-12 are kept and renormalized. objective maps the returned measure to
+    the reported objective, and the residual is the largest odd moment of e+y
+    through convolve_moments. Infeasible is a result; any other failure of
+    the solver is an error.
+    """
+    res = linprog(c, A_eq=A, b_eq=b, bounds=(0, None), method="highs", options=HIGHS_TOL)
+    if res.status == 2:
+        return OptResult(None, None, None, "infeasible", order=order)
+    if res.status != 0:
+        raise SymvarError(f"LP solver failed: {res.message}")
+    locs, weights = law(res.x)
+    keep = weights > 1e-12
+    w = weights[keep] / weights[keep].sum()
+    mu = DiscreteMeasure.from_atoms(zip(locs[keep], w), mode="float")
+    msum = convolve_moments(moments_of(mu, MAX_ORDER), moments_of(bernoulli(pf), MAX_ORDER), kind)
+    return OptResult(float(objective(mu)), mu, float(odd_moment_residual(msum)), "optimal",
+                     order=order)
+
 
 def _mirror_rows(g, pf):
     """Sparse rows mass(v) - mass(-v) of X+Y, one per value |v| > 0 of its support.
@@ -206,21 +244,39 @@ def classical_min_variance(p, grid: GridSpec, mode="exact_law", relax_order=None
     c = g * g
     if not (np.isfinite(A.data).all() and np.isfinite(c).all()):
         raise SizeError("non-finite LP data")
-    res = linprog(c, A_eq=A, b_eq=b, bounds=(0, None), method="highs", options=HIGHS_TOL)
-    if res.status == 2:
-        return OptResult(None, None, None, "infeasible")
-    if res.status != 0:
-        raise SymvarError(f"LP solver failed: {res.message}")
-    keep = res.x > 1e-12
-    mu = DiscreteMeasure.from_atoms(zip(g[keep], res.x[keep] / res.x[keep].sum()), mode="float")
-    msum = convolve_moments(
-        moments_of(mu, MAX_ORDER), moments_of(bernoulli(pf), MAX_ORDER), IndependenceKind.CLASSICAL
-    )
-    return OptResult(float(variance(mu)), mu, float(odd_moment_residual(msum)), "optimal")
+    order = None if mode == "exact_law" else 2 * relax_order + 1
+    return _lp(c, A, b, lambda x: (g, x), variance, pf, IndependenceKind.CLASSICAL, order)
+
+
+def _boolean_lp(pf, order):
+    """min m_2(y) over y with e+y Boolean-symmetric up to the odd order `order`.
+
+    The LP of the module docstring: rho >= 0 on 2,001 points of [-3, 2] and
+    at -q, minimizing rho(R), with one row per odd Chebyshev polynomial
+    T_1, T_3, .., T_{order-2} in t/3 (monomial rows are badly conditioned).
+    y's atoms are the arrowhead matrix's eigenvalues, and its weights the
+    squared first entries of the eigenvectors.
+    """
+    t = np.array(GridSpec(-3.0, 2.0, 0.0025, must_include=(pf - 1.0,)).points())
+    x = np.append(t, pf - 1.0) / 3.0  # the last column is -q, for the right-hand side
+    cheb = [np.ones_like(x), x]  # T_0, T_1, .. by the three-term recurrence
+    for _ in range(order - 3):
+        cheb.append(2.0 * x * cheb[-1] - cheb[-2])
+    rows = np.array(cheb[1::2])
+
+    def law(rho):
+        on = rho > 0
+        arrow = np.diag(np.r_[-pf, t[on]])
+        arrow[0, 1:] = arrow[1:, 0] = np.sqrt(rho[on])
+        atoms, vectors = np.linalg.eigh(arrow)
+        return atoms, vectors[0] ** 2
+
+    return _lp(np.ones(len(t)), rows[:, :-1], pf * (1.0 - pf) * rows[:, -1], law,
+               lambda mu: moments_of(mu, 2).values[1], pf, IndependenceKind.BOOLEAN, order)
 
 
 # ---------------------------------------------------------------------------
-# Free / Boolean penalized search
+# Free penalized search
 # ---------------------------------------------------------------------------
 
 # reflection, expansion, outside and inside contraction: a * xbar - b * worst
@@ -295,25 +351,26 @@ def _moments(locs, weights, order):
     return (weights[..., None, :] @ powers)[..., 0, :]
 
 
-_BATCH_M2K = {IndependenceKind.FREE: _free_m2k_float, IndependenceKind.BOOLEAN: _boolean_m2k_float}
+def _odd_cumulants(locs, weights, e_kappa):
+    """Odd free cumulants of e+y and m2(y), per row, for y supported on (locs, weights).
 
-
-def _odd_cumulants(locs, weights, e_kappa, kind):
-    """Odd cumulants of e+y and m2(y), per row, for y supported on (locs, weights).
-
-    e_kappa holds e's cumulants k_1..k_N as a numpy vector, N >= 2; y's come
-    from the batched kernel, one call for all rows.
+    e_kappa holds e's free cumulants k_1..k_N as a numpy vector, N >= 2; y's
+    come from the batched kernel, one call for all rows.
     """
     my = _moments(locs, weights, len(e_kappa))
-    return (_BATCH_M2K[kind](my) + e_kappa)[:, 0::2], my[:, 1]
+    return (_free_m2k_float(my) + e_kappa)[:, 0::2], my[:, 1]
 
 
 def nc_min_variance(p, kind, cfg: SearchConfig = SearchConfig(), allow_critical=False) -> OptResult:
-    """Search for min phi(y^2) over y (free or Boolean) symmetrizing e.
+    """min phi(y^2) over y (free or Boolean) with e+y symmetric up to MAX_ORDER.
 
-    Penalized Nelder-Mead over atom locations in [-3,2] and softmax weights,
-    with an increasing penalty schedule on the squared odd cumulants of e+y
-    (zero exactly when its odd moments are).
+    Boolean: the LP over the F-transform measure of the module docstring,
+    exact up to its grid of [-3, 2] and deterministic; it does not read cfg.
+    At MAX_ORDER = 13 the minimum is p for p <= 0.71 and below p above that.
+
+    Free: penalized Nelder-Mead over atom locations in [-3,2] and softmax
+    weights, with an increasing penalty schedule on the squared odd
+    cumulants of e+y (zero exactly when its odd moments are).
     Multi-start: cfg.restarts random initializations plus the known equality
     candidate y = -e in law, all run in lockstep (one batched objective call
     per Nelder-Mead iteration). The best candidate's atoms of weight above
@@ -325,14 +382,16 @@ def nc_min_variance(p, kind, cfg: SearchConfig = SearchConfig(), allow_critical=
     kind = IndependenceKind(kind)
     if kind is IndependenceKind.CLASSICAL:
         raise SizeError("use classical_min_variance for the classical kind")
+    if kind is IndependenceKind.BOOLEAN:
+        return _boolean_lp(pf, MAX_ORDER)
     k = cfg.atom_budget
-    e_kappa = _BATCH_M2K[kind](np.full(MAX_ORDER, pf))  # Bernoulli(p): m_n = p
+    e_kappa = _free_m2k_float(np.full(MAX_ORDER, pf))  # Bernoulli(p): m_n = p
     evaluations = 0  # rows evaluated, by the search and the projection
 
     def odd_cumulants(locs, weights):
         nonlocal evaluations
         evaluations += len(locs)
-        return _odd_cumulants(locs, weights, e_kappa, kind)
+        return _odd_cumulants(locs, weights, e_kappa)
 
     def unpack(x):
         locs = np.minimum(np.maximum(x[:, :k], -3.0), 2.0)
@@ -406,4 +465,4 @@ def nc_min_variance(p, kind, cfg: SearchConfig = SearchConfig(), allow_critical=
     mu, m2, residual = min(report(*np.split(z0, 2)), report(*np.split(projected.x, 2)),
                            key=lambda r: r[2])
     status = "optimal" if residual < 1e-6 else "feasible"
-    return OptResult(m2, mu, residual, status, int(evaluations))
+    return OptResult(m2, mu, residual, status, int(evaluations), MAX_ORDER)

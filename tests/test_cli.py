@@ -10,8 +10,9 @@ from pathlib import Path
 import pytest
 
 import symvar
+from symvar import cli
 from symvar.matrixlab import MAX_SIM_DIM
-from symvar.optimizer import MAX_RESTARTS
+from symvar.optimizer import MAX_RESTARTS, GridSpec, SearchConfig, classical_min_variance
 
 from symvar.cli import main
 from symvar.measures import DiscreteMeasure
@@ -89,12 +90,36 @@ def test_optimize_free_small(capsys):
 
 
 def test_optimize_identical_invocations_identical_output(capsys):
-    args = ["optimize", "--kind", "boolean", "--p", "0.7", "--seed", "3",
-            "--restarts", "1", "--atoms", "2"]
+    args = ["optimize", "--kind", "boolean", "--p", "0.7"]
     code1, out1 = run(capsys, *args)
     code2, out2 = run(capsys, *args)
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+def test_optimize_boolean_is_the_lp(capsys):
+    code, out = run(capsys, "optimize", "--kind", "boolean", "--p", "0.9")
+    assert code == 0
+    obj = json.loads(out)
+    # the order-13 minimum lies below p there, and the order key says which problem it solved
+    assert obj["objective"] < 0.87 and obj["residual"] < 1e-9
+    assert obj["order"] == 13 and obj["evaluations"] == 0
+
+
+@pytest.mark.parametrize("flags", [["--seed", "1"], ["--restarts", "32"], ["--atoms", "6"],
+                                   ["--seed", "0", "--atoms", "2", "--restarts", "1"]])
+def test_optimize_boolean_refuses_search_flags(capsys, flags):
+    # the LP reads none of them: refused, not ignored
+    _assert_json_error(capsys, ["optimize", "--kind", "boolean", "--p", "0.3", *flags])
+
+
+def test_optimize_free_keeps_search_defaults(capsys, monkeypatch):
+    seen = []
+    monkeypatch.setattr(cli, "nc_min_variance", lambda p, kind, cfg, **kwargs: seen.append(cfg)
+                        or classical_min_variance(p, GridSpec(-2.0, 1.0, 0.5)))
+    assert main(["optimize", "--kind", "free", "--p", "0.3", "--seed", "7"]) == 0
+    assert main(["optimize", "--kind", "free", "--p", "0.3", "--seed", "7", "--atoms", "2"]) == 0
+    assert seen == [SearchConfig(seed=7), SearchConfig(seed=7, atom_budget=2)]
 
 
 def test_convolve_exact(capsys):
@@ -234,11 +259,11 @@ def test_negative_seed_exit_1(capsys, argv):
         ["optimize", "--kind", "classical", "--p", "0.3", "--relax-order", "600"],
         ["optimize", "--kind", "classical", "--p", "0.3", "--grid=-1e30:1e30:1e28",
          "--relax-order", "6"],
-        ["optimize", "--kind", "boolean", "--p", "0.3", "--seed", "1", "--atoms", "100000",
+        ["optimize", "--kind", "free", "--p", "0.3", "--seed", "1", "--atoms", "100000",
          "--restarts", "1"],
         ["certify", "--p", "1e400", "--mode", "grid"],
         ["simulate", "--p=-1e400", "--seed", "1", "--n", "20"],
-        ["optimize", "--kind", "boolean", "--p", "0.3", "--seed", "1", "--atoms", "2",
+        ["optimize", "--kind", "free", "--p", "0.3", "--seed", "1", "--atoms", "2",
          "--restarts", str(MAX_RESTARTS + 1)],
         ["optimize", "--kind", "classical", "--p", "0.3", "--grid=-1e30:1e30:1e28",
          "--relax-order", "1"],
@@ -301,23 +326,26 @@ def _env_after_import(**preset):
 @pytest.mark.parametrize("unbuffered", [True, False])
 def test_closed_stdout_exits_1_without_traceback(unbuffered):
     # the reader is gone before anything is written, as with `symvar ... | head -c 100`
-    # once head has exited: the write fails with BrokenPipeError, unbuffered or at the flush
+    # once head has exited: the write fails with BrokenPipeError, unbuffered or at the flush.
+    # A result and both kinds of error report (exit 2 and exit 1) take the same path
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = str(Path(symvar.__file__).resolve().parents[1])
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
-    read_end, write_end = os.pipe()
-    os.close(read_end)
-    try:
-        done = subprocess.run(
-            [sys.executable, "-m", "symvar.cli", "simulate", "--p", "0.7", "--n", "30",
-             "--order", "4", "--reps", "3", "--seed", "2"],
-            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
-        )
-    finally:
-        os.close(write_end)
-    assert done.returncode == 1
-    assert done.stderr == b""
+    for argv in (
+        ["simulate", "--p", "0.7", "--n", "30", "--order", "4", "--reps", "3", "--seed", "2"],
+        ["certify", "--p", "0.5"],
+        ["certify", "--p", "x"],
+    ):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run([sys.executable, "-m", "symvar.cli", *argv], stdout=write_end,
+                                  stderr=subprocess.PIPE, env=env, timeout=120)
+        finally:
+            os.close(write_end)
+        assert done.returncode == 1, argv
+        assert done.stderr == b"", argv
 
 
 def _readme_cli_examples():
@@ -345,6 +373,17 @@ def test_readme_cli_examples(capsys):
 def test_symvar_threads_sets_blas_variables():
     assert _env_after_import(SYMVAR_THREADS="1") == ["1", "1"]
     assert _env_after_import(SYMVAR_THREADS="1", OPENBLAS_NUM_THREADS="2") == ["1", "2"]
+
+
+@pytest.mark.parametrize("experiment", ["moments", "proof-identity"])
+def test_csv_on_stdout_and_in_outfile_are_the_same_bytes(tmp_path, capsys, experiment):
+    argv = ["simulate", "--experiment", experiment, "--p", "0.3", "--n", "30", "--dims", "20",
+            "--order", "3", "--reps", "2", "--seed", "5", "--output", "csv"]
+    code, out = run(capsys, *argv)
+    target = tmp_path / "report.csv"
+    assert code == 0 == main([*argv, "--outfile", str(target)])
+    assert out.endswith("\r\n") and not out.endswith("\n\n")
+    assert target.read_bytes() == out.encode()
 
 
 def test_outfile(tmp_path, capsys):

@@ -1,7 +1,7 @@
 """Property test of the CLI contract over generated argv.
 
-For convolve, symmetry, certify and the classical optimize, valid and
-invalid values alike must end in strict JSON on stdout (no NaN or
+For convolve, symmetry, certify and the classical and Boolean optimize
+(both LPs), valid and invalid values alike must end in strict JSON on stdout (no NaN or
 Infinity), an exit code in {0, 1, 2} and no traceback. Options are passed
 as --name=value or as two tokens, so argparse sees values that start with a
 dash or are not numbers; its refusals must be JSON errors too. Sizes are
@@ -109,6 +109,8 @@ ARGV = st.one_of(
     _command("certify", p=P, mode=st.sampled_from(["exact", "grid"]), grid=GRID),
     _command("optimize", kind=st.just("classical"), p=P, grid=GRID, include=INCLUDE,
              relax_order=RELAX_ORDER),
+    # the Boolean LP reads no seed: one given is refused
+    _command("optimize", kind=st.just("boolean"), p=P, seed=_mostly(st.none(), st.integers(-1, 3))),
 )
 
 

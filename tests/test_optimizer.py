@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction as F
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from symvar.cumulants import (
     odd_moment_residual,
 )
 from symvar.errors import CriticalCaseError, SizeError, SymvarError
-from symvar.measures import bernoulli, moments_of, variance
+from symvar.measures import bernoulli, moments_of, negate, variance
 from symvar.optimizer import (
     MAX_ATOMS,
     MAX_GRID_POINTS,
@@ -175,8 +176,8 @@ def test_nc_search_small_config(kind):
 
 
 def test_nc_search_deterministic():
-    a = nc_min_variance(0.7, "boolean", SMALL)
-    b = nc_min_variance(0.7, "boolean", SMALL)
+    a = nc_min_variance(0.7, "free", SMALL)
+    b = nc_min_variance(0.7, "free", SMALL)
     assert a.objective == b.objective
     assert a.residual == b.residual
     assert a.measure.atoms == b.measure.atoms
@@ -189,22 +190,51 @@ def test_opt_result_json():
     assert abs(obj["objective"] - 0.21) < 1e-9
     assert obj["measure"]["mode"] == "float"
     assert obj["evaluations"] == 0
+    assert obj["order"] is None  # exact_law constrains the whole law
+    relaxed = classical_min_variance(0.3, GRID, mode="moment_relax", relax_order=2)
+    assert json.loads(relaxed.to_json())["order"] == 5
 
 
 @pytest.mark.parametrize("p", [0.3, 0.7])
-@pytest.mark.parametrize("kind", ["free", "boolean"])
+@pytest.mark.parametrize("kind", ["free"])
 def test_sum_odd_moments_vanish_at_equality_case(kind, p):
     # y = -e in law symmetrizes e in every sense: all odd moments of e + y
     # vanish, and so do its odd cumulants, which the search penalizes
     kind = IndependenceKind(kind)
     for order in range(2, 14):
         e_kappa = np.array(moments_to_cumulants(MomentSequence((p,) * order), kind).values)
-        odd, m2 = optimizer._odd_cumulants(
-            np.array([[-1.0, 0.0]]), np.array([[p, 1 - p]]), e_kappa, kind
-        )
+        odd, m2 = optimizer._odd_cumulants(np.array([[-1.0, 0.0]]), np.array([[p, 1 - p]]), e_kappa)
         assert odd.shape == (1, (order + 1) // 2)
         assert np.abs(odd).max() <= 1e-12
         assert m2 == pytest.approx(p, abs=1e-15)
+
+
+@pytest.mark.parametrize("p", [0.3, 0.7])
+def test_boolean_lp_rows_hold_at_equality_case(p, monkeypatch):
+    # y = -e has F-transform measure rho = pq delta_{-q}: that point of the
+    # LP's columns meets every row, and rho's odd moments are the odd Boolean
+    # cumulants k_3, k_5, .. of -e
+    q = 1 - p
+    calls = []
+
+    def capture(c, A_eq, b_eq, **kwargs):
+        calls.append((A_eq, b_eq))
+        return linprog(c, A_eq=A_eq, b_eq=b_eq, **kwargs)
+
+    linprog = optimizer.linprog
+    monkeypatch.setattr(optimizer, "linprog", capture)
+    optimizer._boolean_lp(p, MAX_ORDER)
+    (A, b), = calls
+    t = np.array(GridSpec(-3.0, 2.0, 0.0025, must_include=(p - 1.0,)).points())
+    assert A.shape == ((MAX_ORDER - 1) // 2, len(t))
+    rho = np.where(t == -q, p * q, 0.0)
+    assert np.abs(A @ rho - b).max() <= 1e-15
+    exact_p = F(str(p))
+    exact_q = 1 - exact_p
+    kappa = moments_to_cumulants(moments_of(negate(bernoulli(exact_p)), MAX_ORDER), "boolean").values
+    assert [kappa[j + 1] for j in range(1, MAX_ORDER - 1, 2)] == [
+        exact_p * exact_q * (-exact_q) ** j for j in range(1, MAX_ORDER - 1, 2)
+    ]
 
 
 @pytest.mark.parametrize("kind", ["free", "boolean"])
@@ -215,6 +245,60 @@ def test_search_residual_is_the_convolution_residual_of_its_measure(kind):
     msum = convolve_moments(moments_of(bernoulli(0.3), MAX_ORDER),
                             moments_of(result.measure, MAX_ORDER), kind)
     assert result.residual == float(odd_moment_residual(msum))
+    assert result.order == MAX_ORDER
+
+
+@pytest.mark.parametrize("p", [round(0.05 * i, 2) for i in range(1, 20) if i != 10])
+def test_boolean_lp_sweep(p):
+    result = nc_min_variance(p, "boolean")
+    assert result.status == "optimal"
+    assert result.residual <= 1e-9
+    assert result.evaluations == 0 and result.order == MAX_ORDER
+    if p <= 0.70:
+        assert abs(result.objective - p) <= 1e-6
+
+
+@pytest.mark.parametrize("p", [0.3, 0.7])
+def test_boolean_lp_gives_the_equality_case(p):
+    # criterion 4's points: y = -e, m_2 = p
+    result = nc_min_variance(p, "boolean")
+    assert abs(result.objective - p) <= 1e-9
+    assert result.residual < 1e-9
+    atoms = result.measure.atoms
+    assert [t for t, _ in atoms] == pytest.approx([-1.0, 0.0], abs=1e-12)
+    assert [w for _, w in atoms] == pytest.approx([p, 1 - p], abs=1e-12)
+
+
+def test_boolean_lp_falls_below_p_at_order_13():
+    # truncation, not a counterexample: at p = 0.9 the order-13 minimum is
+    # feasible to 1e-9 and about p - 0.043, and it rises with the order
+    result = nc_min_variance(0.9, "boolean", SearchConfig(seed=1))  # cfg is not read
+    assert result.objective < 0.87
+    assert result.residual < 1e-9
+    minima = [optimizer._boolean_lp(0.9, order).objective for order in (13, 17, 21)]
+    assert minima[0] < minima[1] < minima[2] < 0.9
+
+
+@pytest.mark.parametrize("p", [0.3, 0.7])
+def test_arrowhead_recovers_y_from_rho(p, monkeypatch):
+    # rho = pq delta_{-q} is the F-transform measure of y = -e; the law read
+    # off the arrowhead matrix is -e to 1e-12
+    q = 1 - p
+    laws = []
+
+    def capture(c, A, b, law, *args):
+        x = np.zeros(len(c))
+        t = np.array(GridSpec(-3.0, 2.0, 0.0025, must_include=(-q,)).points())
+        x[t == -q] = p * q
+        laws.append(law(x))
+        return lp(c, A, b, law, *args)
+
+    lp = optimizer._lp
+    monkeypatch.setattr(optimizer, "_lp", capture)
+    optimizer._boolean_lp(p, MAX_ORDER)
+    (atoms, weights), = laws
+    assert atoms == pytest.approx([-1.0, 0.0], abs=1e-12)
+    assert weights == pytest.approx([p, q], abs=1e-12)
 
 
 def test_search_does_not_revive_dropped_atoms():
@@ -236,7 +320,7 @@ def test_evaluations_count_every_row_evaluated(monkeypatch):
 
     moments = optimizer._moments
     monkeypatch.setattr(optimizer, "_moments", counting_moments)
-    result = nc_min_variance(0.3, "boolean", SearchConfig(restarts=1, atom_budget=2, seed=5))
+    result = nc_min_variance(0.3, "free", SearchConfig(restarts=1, atom_budget=2, seed=5))
     assert result.evaluations == sum(rows) > 0
     assert 4 * 2 in rows  # one lockstep call: four trial points for each of the two starts
     assert json.loads(result.to_json())["evaluations"] == result.evaluations
