@@ -113,12 +113,30 @@ def _cmd_certify(args):
     return 0
 
 
+# The kind that reads each option of optimize; given to another kind, the
+# option is refused, not ignored.
+_OPTION_KIND = {
+    "grid": IndependenceKind.CLASSICAL,
+    "include": IndependenceKind.CLASSICAL,
+    "relax_order": IndependenceKind.CLASSICAL,
+    "seed": IndependenceKind.FREE,
+    "restarts": IndependenceKind.FREE,
+    "atoms": IndependenceKind.FREE,
+}
+
+
 def _cmd_optimize(args):
     p = _parse_rational(args.p)
     kind = IndependenceKind.parse(args.kind)
-    if kind is IndependenceKind.CLASSICAL:
-        include = _parse_floats(args.include, ",", "include")
-        grid = GridSpec(*_parse_grid(args.grid), include)
+    classical = kind is IndependenceKind.CLASSICAL
+    pf = check_p(float(p), args.allow_critical or classical)  # the classical LP allows p = 1/2
+    unread = [f"--{name.replace('_', '-')}" for name, reader in _OPTION_KIND.items()
+              if reader is not kind and getattr(args, name) is not None]
+    if unread:
+        raise SymvarError(f"optimize --kind {kind.value} reads no {', '.join(unread)}")
+    if classical:
+        include = _parse_floats("-1,0" if args.include is None else args.include, ",", "include")
+        grid = GridSpec(*_parse_grid("-2:1:0.25" if args.grid is None else args.grid), include)
         if args.relax_order is not None:
             result = classical_min_variance(
                 p, grid, mode="moment_relax", relax_order=args.relax_order
@@ -126,18 +144,13 @@ def _cmd_optimize(args):
         else:
             result = classical_min_variance(p, grid, mode="exact_law")
     elif kind is IndependenceKind.BOOLEAN:
-        pf = check_p(float(p), args.allow_critical)
-        given = [f"--{flag}" for flag in ("seed", "restarts", "atoms")
-                 if getattr(args, flag) is not None]
-        if given:
-            raise SymvarError(f"the Boolean minimum is an LP and reads no {', '.join(given)}")
         result = nc_min_variance(pf, kind, allow_critical=args.allow_critical)
     else:
         if args.seed is None:
             raise SymvarError("--seed is required for randomized searches")
         knobs = {"restarts": args.restarts, "atom_budget": args.atoms, "seed": args.seed}
         cfg = SearchConfig(**{key: v for key, v in knobs.items() if v is not None})
-        result = nc_min_variance(float(p), kind, cfg, allow_critical=args.allow_critical)
+        result = nc_min_variance(pf, kind, cfg, allow_critical=args.allow_critical)
     _emit(args, result.to_json())
     return 0
 
@@ -224,11 +237,11 @@ def build_parser():
     sp = sub.add_parser("optimize", help="minimum symmetrizer variance")
     sp.add_argument("--kind", required=True)
     sp.add_argument("--p", required=True)
-    sp.add_argument("--grid", default="-2:1:0.25")
-    sp.add_argument("--include", default="-1,0")
+    sp.add_argument("--grid", default=None)  # classical: -2:1:0.25 when not given
+    sp.add_argument("--include", default=None)  # classical: -1,0 when not given
     sp.add_argument("--relax-order", type=int, default=None)
     sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--restarts", type=int, default=None)  # free only, like --seed and --atoms
+    sp.add_argument("--restarts", type=int, default=None)
     sp.add_argument("--atoms", type=int, default=None)
     sp.add_argument("--allow-critical", action="store_true")
     sp.add_argument("--outfile", default=None)

@@ -11,21 +11,32 @@ for the nonlinear dual function psi, which the certificate module cannot
 settle analytically; residuals are reported, never asserted.
 
 The rotated model is drawn in compressed form, exactly in law. By unitary
-invariance, spec(E + U D U*) = spec(D + sigma Q Q*) + c, where Q is an n x s
-Haar isometry with s = min(r, n - r) for the rank r of E; sigma = +1, c = 0
-when r <= n - r, and otherwise sigma = -1, c = 1 (write E = I - (I - E)).
-D is constant on each atom block, so only the triangular factor R_i of the
-block's rows of Q matters: the spectrum is that of diag(a_i) + sigma R R*,
-of dimension sum_i min(n_i, s), plus each atom a_i repeated n_i - min(n_i, s)
-times. No n x n matrix is formed.
+invariance, spec(E + U D U*) = spec(D + sigma F) + c, where F is the
+projection onto a Haar-random subspace of dimension s = min(r, n - r) for the
+rank r of E; sigma = +1, c = 0 when r <= n - r, and otherwise sigma = -1,
+c = 1 (write E = I - (I - E)). The range of an n x s complex Ginibre matrix G
+(independent CN(0, 1) entries) is such a subspace, so F = G (G*G)^-1 G*.
+Split G into the rows of the atom blocks, G_j = Q_j T_j, with T_j the
+m_j x s upper-trapezoidal R-factor, m_j = min(n_j, s). Then G*G = T*T = L L*
+for the stacked factors T, and with R* = L^-1 T* the matrix D + sigma F is
+unitarily similar to diag(a_j 1_{m_j}) + sigma R R*, of dimension
+sum_j m_j <= n, plus each atom a_j repeated n_j - m_j times. The blocks of G
+are independent, and each T_j with positive diagonal has the Bartlett law
+(Goodman 1963): independent entries, |T_ii|^2 ~ Gamma(n_j - i, 1) for
+i = 0..m_j - 1 and CN(0, 1) above the diagonal. The draw samples the T_j
+directly, so no n x s or n x n matrix is formed, and no QR runs. Every
+LAPACK call of the draw is numpy's, and L^-1 T* is a general
+numpy.linalg.solve: scipy's solve_triangular runs on scipy's own BLAS,
+whose thread pool next to numpy's made the n = 800 moments experiment
+slower (0.60 -> 0.97 s, 2-vCPU VM).
 
-A law with two atoms needs no isometry at all. D + sigma Q Q* is then built
-from two projections, the first-atom block P (rank n_1) and F = Q Q* (rank
-s), and by the two-subspace theorem the space splits into the four
-intersections of ran/ker P with ran/ker F and g = min(n_1, n_2, s)
-two-dimensional blocks, one per principal angle theta between ran P and
-ran F. On an intersection the matrix is a_1, a_2, a_1 + sigma or a_2 + sigma;
-on a block with lambda = cos^2 theta it is
+A law with two atoms needs no factors at all. D + sigma F is then built
+from two projections, the first-atom block P (rank n_1) and F (rank s), and
+by the two-subspace theorem the space splits into the four intersections
+of ran/ker P with ran/ker F and g = min(n_1, n_2, s) two-dimensional
+blocks, one per principal angle theta between ran P and ran F. On an
+intersection the matrix is a_1, a_2, a_1 + sigma or a_2 + sigma; on a block
+with lambda = cos^2 theta it is
 [[a_1 + sigma lambda, sigma sqrt(lambda (1 - lambda))], [., a_2 + sigma (1 - lambda)]].
 F is Haar, so the g squared cosines are the squared singular values of the
 n_1 x s block of a Haar isometry: a beta = 2 Jacobi ensemble with density
@@ -53,7 +64,7 @@ from .measures import DiscreteMeasure, bernoulli, check_p, moments_of
 # Largest matrix dimension. In the worst case (p = 1/2, three or more atoms
 # none of which holds more than half the weight) the compressed eigenproblem
 # keeps dimension n; one draw at n = 2500, p = 1/2, weights (1/2, 1/4, 1/4)
-# peaks at about 0.30 GB above the interpreter's own memory (tracemalloc).
+# peaks at about 0.25 GB above the interpreter's own memory (tracemalloc).
 MAX_SIM_DIM = 2500
 
 
@@ -129,26 +140,37 @@ def _eigenvalue_vector(mu, n):
     return np.repeat(vals, counts)
 
 
-def _rotated_spectrum(model: MatrixModel, q):
-    """Eigenvalues (unordered) of E + U D U* for the isometry q of the reduction.
+def _bartlett_factor(n, s, rng):
+    """The min(n, s) x s R-factor, with positive diagonal, of an n x s complex Ginibre matrix.
 
-    q is the n x min(r, n - r) isometry of the module docstring: it spans the
-    range of E when r <= n - r and that of I - E otherwise.
+    Drawn from its Bartlett law: |T_ii|^2 ~ Gamma(n - i, 1) and CN(0, 1)
+    entries above the diagonal, all independent.
+    """
+    m = min(n, s)
+    t = np.triu(rng.standard_normal((m, s, 2)).view(complex)[..., 0], 1) * np.sqrt(0.5)
+    np.fill_diagonal(t, np.sqrt(rng.standard_gamma(n - np.arange(m))))
+    return t
+
+
+def _bartlett_spectrum(model: MatrixModel):
+    """Eigenvalues (unordered) of E + U D U* for any law, from the stacked Bartlett factors T.
+
+    The compressed matrix of the module docstring, diag(a_j 1_{m_j}) + sigma R R*
+    with R* = L^-1 T* and L L* = T*T, has one eigvalsh; the atoms the
+    compression leaves out and the shift follow.
     """
     n, r = model.n, model.rank()
+    s = min(r, n - r)
     sigma, shift = (1.0, 0.0) if r <= n - r else (-1.0, 1.0)
     counts = spectral_multiplicities(model.y_law, n)
-    starts = np.concatenate([[0], np.cumsum(counts)])
-    factors, diag, rest = [], [], []
-    for (t, _), lo, hi in zip(model.y_law.atoms, starts, starts[1:]):
-        rf = np.linalg.qr(q[lo:hi], mode="r")
-        factors.append(rf)
-        diag.append(np.full(len(rf), float(t)))
-        rest.append(np.full(hi - lo - len(rf), float(t)))
-    rr = np.vstack(factors)
-    small = sigma * (rr @ rr.conj().T)
-    small[np.diag_indices_from(small)] += np.concatenate(diag)
-    return np.concatenate([np.linalg.eigvalsh(small), *rest]) + shift
+    kept = np.minimum(counts, s)
+    atoms = [float(t) for t, _ in model.y_law.atoms]
+    rng = np.random.default_rng(model.seed)
+    t = np.vstack([_bartlett_factor(int(c), s, rng) for c in counts])
+    rh = np.linalg.solve(np.linalg.cholesky(t.conj().T @ t), t.conj().T)  # R* = L^-1 T*
+    small = (sigma * rh.conj().T) @ rh
+    small[np.diag_indices_from(small)] += np.repeat(atoms, kept)
+    return np.concatenate([np.linalg.eigvalsh(small), np.repeat(atoms, counts - kept)]) + shift
 
 
 def _squared_cosines(g, a, b, rng):
@@ -201,17 +223,17 @@ def _two_atom_spectrum(model: MatrixModel):
 def _realize(model: MatrixModel, rotate=True):
     """Eigenvalues of E + Y.
 
-    rotate=True draws the Haar-rotated (asymptotically free) model in the
-    compressed form of the module docstring, from the principal angles when
-    the law has two atoms; rotate=False interleaves the y spectrum inside
-    each E block so E and Y commute and realize classical independence up to
-    rounding.
+    rotate=True draws the Haar-rotated (asymptotically free) model exactly in
+    law: from the principal angles when the law has two atoms, and otherwise
+    from the Bartlett factors of the module docstring. rotate=False
+    interleaves the y spectrum inside each E block so E and Y commute and
+    realize classical independence up to rounding.
     """
     n, r = model.n, model.rank()
     if rotate:
         if len(model.y_law.atoms) == 2:
             return _two_atom_spectrum(model)
-        return _rotated_spectrum(model, sample_haar_isometry(n, min(r, n - r), model.seed))
+        return _bartlett_spectrum(model)
     d1 = _eigenvalue_vector(model.y_law, r)
     d0 = _eigenvalue_vector(model.y_law, n - r)
     return np.concatenate([1.0 + d1, d0])

@@ -113,6 +113,48 @@ def test_optimize_boolean_refuses_search_flags(capsys, flags):
     _assert_json_error(capsys, ["optimize", "--kind", "boolean", "--p", "0.3", *flags])
 
 
+@pytest.mark.parametrize(
+    "kind,flags,named",
+    [
+        ("classical", ["--seed", "5", "--atoms", "100000", "--restarts", "999"],
+         "--seed, --restarts, --atoms"),
+        ("classical", ["--seed", "1"], "--seed"),
+        ("free", ["--seed", "1", "--relax-order", "3", "--grid", "0:1:0.5"], "--grid, --relax-order"),
+        ("free", ["--seed", "1", "--include", "-1,0"], "--include"),
+        ("boolean", ["--relax-order", "3"], "--relax-order"),
+        ("boolean", ["--grid=-2:1:0.25", "--include", "0"], "--grid, --include"),
+    ],
+)
+def test_optimize_refuses_options_its_kind_does_not_read(capsys, kind, flags, named):
+    code = main(["optimize", "--kind", kind, "--p", "0.3", *flags])
+    obj = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert obj["error"] == f"optimize --kind {kind} reads no {named}"
+
+
+@pytest.mark.parametrize(
+    "argv,want",
+    [
+        (["--kind", "boolean", "--p", "0.5", "--grid", "0:1:0.5"], 2),
+        (["--kind", "free", "--p", "1/2", "--seed", "1", "--relax-order", "3"], 2),
+        (["--kind", "classical", "--p", "0", "--seed", "1"], 1),
+    ],
+)
+def test_optimize_checks_p_before_refusing_options(capsys, argv, want):
+    code = main(["optimize", *argv])
+    obj = json.loads(capsys.readouterr().out)
+    assert code == want
+    assert "reads no" not in obj["error"]
+
+
+def test_optimize_classical_fills_in_grid_and_include(capsys):
+    code1, out1 = run(capsys, "optimize", "--kind", "classical", "--p", "0.3")
+    code2, out2 = run(capsys, "optimize", "--kind", "classical", "--p", "0.3",
+                      "--grid", "-2:1:0.25", "--include", "-1,0")
+    assert code1 == code2 == 0
+    assert out1 == out2
+
+
 def test_optimize_free_keeps_search_defaults(capsys, monkeypatch):
     seen = []
     monkeypatch.setattr(cli, "nc_min_variance", lambda p, kind, cfg, **kwargs: seen.append(cfg)
@@ -280,8 +322,10 @@ def test_negative_seed_exit_1(capsys, argv):
          "--y", '{"atoms":[[1,1]],"mode":"float"}'],
         ["symmetry", "--p", "0.3", "--kind", "free", "--measure",
          '{"atoms":[[1e25,1]],"mode":"float"}'],
+        # (and the spread of their draws, whose square overflows: the three-atom draw
+        # carries rounding noise at the scale of 1e25 into every eigenvalue)
         ["simulate", "--p", "0.3", "--seed", "1", "--n", "20", "--reps", "2", "--measure",
-         '{"atoms":[[1e25,1]],"mode":"float"}'],
+         '{"atoms":[[1e25,0.5],[0,0.25],[1,0.25]],"mode":"float"}'],
         ["simulate", "--experiment", "proof-identity", "--p", "0.3", "--seed", "1", "--dims", "20",
          "--reps", "1", "--measure", '{"atoms":[[1e308,1]],"mode":"float"}'],
         # finite moments whose sum overflows: an exact law with a float one, and a float law

@@ -1,11 +1,14 @@
 """Property test of the CLI contract over generated argv.
 
-For convolve, symmetry, certify and the classical and Boolean optimize
-(both LPs), valid and invalid values alike must end in strict JSON on stdout (no NaN or
-Infinity), an exit code in {0, 1, 2} and no traceback. Options are passed
-as --name=value or as two tokens, so argparse sees values that start with a
-dash or are not numbers; its refusals must be JSON errors too. Sizes are
-small, so no example allocates much or runs long.
+For convolve, symmetry, certify, the classical and Boolean optimize (both
+LPs) and the simulate moments experiment, valid and invalid values alike
+must end in strict JSON on stdout (no NaN or Infinity), an exit code in
+{0, 1, 2} and no traceback. simulate draws laws of one to four atoms, so
+both rotated draws run: the principal angles of a two-atom law and the
+Bartlett factors of any other. Options are passed as --name=value or as two
+tokens, so argparse sees values that start with a dash or are not numbers;
+its refusals must be JSON errors too. Sizes are small (simulate: n <= 40,
+reps <= 3, order <= 6), so no example allocates much or runs long.
 """
 
 import contextlib
@@ -50,6 +53,10 @@ INCLUDE = _mostly(
 KIND = _mostly(st.sampled_from(["classical", "free", "boolean", "FREE"]), st.just("monotone"))
 ORDER = _mostly(st.integers(1, 13), st.sampled_from([-1, 0, 14, 15]))
 RELAX_ORDER = st.one_of(st.none(), _mostly(st.integers(0, 6), st.sampled_from([-1, 7])))
+DIM = _mostly(st.integers(2, 40), st.sampled_from([-1, 0, 1, 2501]))
+REPS = _mostly(st.integers(1, 3), st.sampled_from([-1, 0]))
+SIM_ORDER = _mostly(st.integers(1, 6), st.sampled_from([-1, 0, 14]))
+SEED = _mostly(st.integers(0, 2**32 - 1), st.sampled_from([None, -1]))
 
 
 @st.composite
@@ -111,6 +118,7 @@ ARGV = st.one_of(
              relax_order=RELAX_ORDER),
     # the Boolean LP reads no seed: one given is refused
     _command("optimize", kind=st.just("boolean"), p=P, seed=_mostly(st.none(), st.integers(-1, 3))),
+    _command("simulate", p=P, measure=measures(), n=DIM, order=SIM_ORDER, reps=REPS, seed=SEED),
 )
 
 
@@ -118,7 +126,7 @@ def _reject_non_finite(token):
     raise ValueError(f"non-finite number {token} in output")
 
 
-@settings(derandomize=True, max_examples=400, deadline=None, database=None,
+@settings(derandomize=True, max_examples=480, deadline=None, database=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(ARGV)
 def test_cli_contract_on_generated_argv(argv):

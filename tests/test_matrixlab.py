@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from haar_oracle import rotated_spectrum
 from symvar import matrixlab as ml
 from symvar.cumulants import IndependenceKind, convolve_moments
 from symvar.errors import CriticalCaseError, SizeError
@@ -126,7 +127,7 @@ def test_rotated_spectrum_is_exact_reduction(law, n, p):
     s = min(r, n - r)
     sigma, shift = (1.0, 0.0) if r <= n - r else (-1.0, 1.0)
     q = ml.sample_haar_isometry(n, s, 31)
-    got = np.sort(ml._rotated_spectrum(model, q))
+    got = np.sort(rotated_spectrum(model, q))
     d = ml._eigenvalue_vector(law, n)
     want = shift + np.linalg.eigvalsh(np.diag(d) + sigma * q @ q.conj().T)
     assert np.max(np.abs(got - want)) < 1e-12
@@ -190,7 +191,7 @@ def test_two_atom_law_matches_rotated_spectrum(n, p, weight):
     angle = np.array([ml._realize(ml.MatrixModel(n, p, law, seed)) for seed in range(reps)])
     model = ml.MatrixModel(n, p, law, 0)
     general = np.array(
-        [ml._rotated_spectrum(model, ml.sample_haar_isometry(n, s, reps + seed)) for seed in range(reps)]
+        [rotated_spectrum(model, ml.sample_haar_isometry(n, s, reps + seed)) for seed in range(reps)]
     )
     new = (angle[:, :, None] ** ks).mean(axis=1)
     old = (general[:, :, None] ** ks).mean(axis=1)
@@ -239,7 +240,7 @@ def test_squared_cosines_match_principal_angles(n, p, weight):
 
 @pytest.mark.parametrize("n,p,weight", ANGLE_SHAPES)
 def test_two_atom_assembly_is_exact_on_given_angles(n, p, weight, monkeypatch):
-    # the principal angles of one isometry q give the spectrum _rotated_spectrum finds for q
+    # the principal angles of one isometry q give the spectrum the oracle finds for q
     law, s, _, _, n1, n2 = _angle_shape(n, p, weight)
     model = ml.MatrixModel(n, p, law, 0)
     q = ml.sample_haar_isometry(n, s, 17)
@@ -248,7 +249,126 @@ def test_two_atom_assembly_is_exact_on_given_angles(n, p, weight, monkeypatch):
     monkeypatch.setattr(ml, "_squared_cosines", lambda g, a, b, rng: generic[:g])
     assert len(generic) == min(n1, n2, s)
     got = np.sort(ml._realize(model))
-    assert np.max(np.abs(got - np.sort(ml._rotated_spectrum(model, q))), initial=0.0) < 1e-12
+    assert np.max(np.abs(got - np.sort(rotated_spectrum(model, q))), initial=0.0) < 1e-12
+
+
+FOUR_ATOM = DiscreteMeasure.from_atoms(
+    [(-1.0, 0.1), (-0.5, 0.3), (0.25, 0.2), (1.0, 0.4)], mode="float"
+)
+LIGHT_ATOM = DiscreteMeasure.from_atoms([(-1.0, 0.02), (0.5, 0.48), (1.0, 0.5)], mode="float")
+ONE_ATOM = DiscreteMeasure.from_atoms([(0.5, 1.0)], mode="float")
+
+LAWS = {
+    "one_atom": ONE_ATOM,
+    "two_atom": Y_LAW,
+    "three_atom": THREE_ATOM,
+    "four_atom": FOUR_ATOM,
+    "light_atom": LIGHT_ATOM,
+    "empty_atom": EMPTY_ATOM,
+}
+# Laws of three and four atoms, drawn from Bartlett factors: (law name, n, p) for
+# n_j < s and n_j > s in one law, r > n - r, rank 0, rank n, an atom of
+# weight 0.02 (n_1 = 1), and an atom whose multiplicity rounds to 0.
+BARTLETT_SHAPES = [
+    ("three_atom", 20, 0.3),
+    ("three_atom", 20, 0.5),
+    ("three_atom", 20, 0.7),
+    ("four_atom", 20, 0.4),
+    ("four_atom", 21, 0.6),
+    ("three_atom", 7, 0.05),
+    ("three_atom", 7, 0.95),
+    ("light_atom", 50, 0.3),
+    ("empty_atom", 7, 0.3),
+    ("empty_atom", 7, 0.7),
+]
+
+
+@pytest.mark.parametrize("name,n,p", BARTLETT_SHAPES)
+def test_bartlett_law_matches_rotated_spectrum(name, n, p):
+    # power sums 1..6 of the Bartlett draw vs the oracle's on Haar isometries
+    law = LAWS[name]
+    reps, ks = 2000, np.arange(1, 7)
+    model = ml.MatrixModel(n, p, law, 0)
+    s = min(model.rank(), n - model.rank())
+    new = np.array([ml._realize(ml.MatrixModel(n, p, law, seed)) for seed in range(reps)])
+    old = np.array(
+        [rotated_spectrum(model, ml.sample_haar_isometry(n, s, reps + seed)) for seed in range(reps)]
+    )
+    new, old = ((lam[:, :, None] ** ks).mean(axis=1) for lam in (new, old))
+    stderr = np.sqrt((new.var(axis=0, ddof=1) + old.var(axis=0, ddof=1)) / reps)
+    diff = np.abs(new.mean(axis=0) - old.mean(axis=0))
+    assert np.all(diff <= 5.0 * stderr + 1e-12), (diff, stderr)
+
+
+def _ginibre(shape, rng):
+    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
+
+
+def _positive_r(g):
+    """The R-factor of g with its diagonal made positive: the factor Bartlett's law describes."""
+    rf = np.linalg.qr(g, mode="r")
+    d = np.diag(rf)
+    return (d.conj() / np.abs(d))[:, None] * rf
+
+
+@pytest.mark.parametrize(
+    "name,n,p",
+    [("two_atom", 20, 0.3), ("two_atom", 21, 0.6), ("one_atom", 20, 0.3)] + BARTLETT_SHAPES,
+)
+def test_bartlett_assembly_is_exact_on_given_factors(name, n, p, monkeypatch):
+    # the R-factors of one Ginibre matrix's blocks give the spectrum of
+    # D + sigma G (G*G)^-1 G*, for a law of any number of atoms
+    law = LAWS[name]
+    model = ml.MatrixModel(n, p, law, 0)
+    r = model.rank()
+    s = min(r, n - r)
+    sigma, shift = (1.0, 0.0) if r <= n - r else (-1.0, 1.0)
+    g = _ginibre((n, s), np.random.default_rng(8))
+    counts = ml.spectral_multiplicities(law, n)
+    starts = np.concatenate([[0], np.cumsum(counts)])
+    factors = iter([_positive_r(g[lo:hi]) for lo, hi in zip(starts, starts[1:])])
+
+    def given(rows, cols, rng):
+        rf = next(factors)
+        assert rf.shape == (min(rows, cols), cols)
+        return rf
+
+    monkeypatch.setattr(ml, "_bartlett_factor", given)
+    got = np.sort(ml._bartlett_spectrum(model))
+    f = g @ np.linalg.solve(g.conj().T @ g, g.conj().T)
+    d = ml._eigenvalue_vector(law, n)
+    want = shift + np.linalg.eigvalsh(np.diag(d) + sigma * f)
+    assert len(got) == n
+    assert np.max(np.abs(got - want)) < 1e-12
+
+
+@pytest.mark.parametrize("rows,cols", [(5, 3), (3, 5), (4, 4), (1, 3)])
+def test_bartlett_factor_matches_qr_of_ginibre_blocks(rows, cols):
+    reps, m = 3000, min(rows, cols)
+    rng = np.random.default_rng(6)
+    new = np.array([ml._bartlett_factor(rows, cols, rng) for _ in range(reps)])
+    old = np.array([_positive_r(_ginibre((rows, cols), rng)) for _ in range(reps)])
+    upper = np.triu(np.ones((m, cols), bool), 1)
+    for t in (new, old):
+        assert t.shape == (reps, m, cols)
+        assert np.all(np.tril(t, -1) == 0.0)
+        assert np.all(np.abs(np.diagonal(t, axis1=1, axis2=2).imag) < 1e-12)
+
+    def stats(t):
+        # per diagonal index: |T_ii|^2 and |T_ii|^4; pooled above the diagonal:
+        # Re, Im, |z|^2, |z|^4 and Re z^2 (a circular law has E z^2 = 0)
+        d2 = np.abs(np.diagonal(t, axis1=1, axis2=2)) ** 2
+        z = t[:, upper]
+        off = [z.real, z.imag, np.abs(z) ** 2, np.abs(z) ** 4, (z**2).real]
+        return np.column_stack([d2, d2**2] + [x.mean(axis=1) for x in off])
+
+    a, b = stats(new), stats(old)
+    stderr = np.sqrt((a.var(axis=0, ddof=1) + b.var(axis=0, ddof=1)) / reps)
+    diff = np.abs(a.mean(axis=0) - b.mean(axis=0))
+    assert np.all(diff <= 5.0 * stderr + 1e-12), (diff, stderr)
+    # and against the law itself: E |T_ii|^2 = rows - i, with variance rows - i
+    want = rows - np.arange(m)
+    assert np.all(np.abs(a[:, :m].mean(axis=0) - want) <= 5.0 * np.sqrt(want / reps))
 
 
 def test_spectral_function_application():
