@@ -3,8 +3,8 @@
 Classical: an exact LP over a gridded law. Boolean: an LP over the measure
 of y's F-transform, symmetric up to the odd order 13; it gives p for
 p <= 0.71 and less above, where the truncation at order 13 shows. Free: a
-penalized multi-start Nelder-Mead search over discrete measures, which should
-land on the value p with the measure concentrating at the equality case.
+multi-start SLSQP search over discrete measures, constrained on the odd
+cumulants of e+y, which should land on the value p at the equality case.
 """
 
 import symvar as sv

@@ -37,4 +37,4 @@ from .optimizer import (
     nc_min_variance,
 )
 
-__version__ = "0.10.0"
+__version__ = "0.11.0"

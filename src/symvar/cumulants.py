@@ -37,7 +37,7 @@ of the denominators and is often far smaller: the moments of a law on
 The free search needs many sequences at once, and only moments to
 cumulants: cumulants add, and every partition of an odd set has a block of
 odd size, so the odd moments of e+y up to order N vanish exactly when its odd
-cumulants k_odd(e) + k_odd(y) do, and the search penalizes those. For it the
+cumulants k_odd(e) + k_odd(y) do, and the search constrains those. For it the
 numpy kernel below maps one (R, N) batch of moment rows to cumulant rows per
 call. It is Lagrange inversion (Nica-Speicher, Lectures on the Combinatorics
 of Free Probability, Lect. 16),

@@ -325,9 +325,13 @@ def empirical_vs_predicted(model: MatrixModel, order, reps):
         for i, child in enumerate(ss.spawn(reps)):
             m = MatrixModel(model.n, model.p, model.y_law, int(child.generate_state(1)[0]))
             samples[i] = simulate_free_sum(m, order).values
-        mean = samples.mean(axis=0)
+        # each order scaled exactly by a power of two near its largest |value|:
+        # the spread of finite moments near 1e199 is finite, its square is not
+        scale = np.ldexp(1.0, np.frexp(np.abs(samples).max(axis=0))[1])
+        scaled = samples / scale
+        mean = scaled.mean(axis=0) * scale
         error = np.abs(mean - predicted)
-        stderr = samples.std(axis=0, ddof=1) / np.sqrt(reps) if reps > 1 else None
+        stderr = scaled.std(axis=0, ddof=1) * scale / np.sqrt(reps) if reps > 1 else None
         flagged = np.zeros(order, bool) if stderr is None else error > 5.0 * stderr + 10.0 / model.n
     if not np.isfinite([mean, error] if stderr is None else [mean, error, stderr]).all():
         raise SizeError(f"the moments of E + Y up to order {order} exceed the float range")

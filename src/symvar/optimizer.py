@@ -17,26 +17,25 @@ from rho exactly: F_y is the resolvent at e_1 of the arrowhead matrix
 symmetry at every order; at N = 13 on [-3, 2] the LP gives p for p <= 0.71
 and less above.
 
-For free independence we run a multi-start penalized Nelder-Mead over atom
-locations and softmax weights; the theorem says the answer is p, and the
-search doubles as a falsifier.
+For free independence the minimum is searched for; the theorem says it is
+p, and the search doubles as a falsifier.
 
 The search works in cumulant coordinates: by the same argument, the
 symmetry constraints k_odd(e) + k_odd(y) = 0 are linear in y's free
-cumulants, and penalizing them is exact. One evaluation therefore needs
-only y's moments (one cumprod and one stacked matmul) and the batched
-moments-to-cumulants kernel; e's cumulants are computed once. The penalty,
-the ranking of candidates and the final projection all read this one map.
-
-The starts run in lockstep: every start is a lane of one Nelder-Mead loop
-that follows scipy's method step for step, and each iteration evaluates the
-four trial points of every lane in one batched objective call. The atoms
-that carry weight at the best point (weight above 1e-12) are then projected
-onto the odd-cumulant equations by least squares; the others stay dropped.
+cumulants. For y on k atoms (locations t in [-3, 2], weights w in [0, 1])
+one evaluation needs only y's moments (one cumprod and one stacked matmul)
+and the batched moments-to-cumulants kernel; e's cumulants are computed
+once. Each start runs one SLSQP solve (scipy's, Kraft 1988): minimize
+m_2(y) = sum w t^2, with its analytic gradient, subject to these odd
+cumulants and the mass row sum w = 1. The constraint Jacobian is the
+complex step (Squire-Trapp 1998): the map has no abs or comparison, so its
+imaginary part at z + ih e_j, h = 1e-30, is column j exact to rounding,
+and one batched call of 2k rows gives all of it. With k <= 3 atoms there
+are fewer variables than equations and SLSQP returns its start.
 Every result reports as residual the largest odd moment of e+y, computed
 from the returned measure through convolve_moments.
-OptResult.evaluations counts every row of the odd-cumulant map: trial points
-whether chosen or not, the candidates and the projection; it is 0 for an LP.
+OptResult.evaluations counts every row of the odd-cumulant map: constraint
+and Jacobian rows and the candidates; it is 0 for an LP.
 """
 
 from __future__ import annotations
@@ -47,7 +46,7 @@ from math import isfinite
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize import least_squares, linprog
+from scipy.optimize import linprog, minimize
 
 from .cumulants import (
     MAX_ORDER,
@@ -64,9 +63,9 @@ MAX_RELAX_ORDER = (MAX_ORDER - 1) // 2  # odd orders 1..MAX_ORDER, as the residu
 # HiGHS's default tolerances (1e-7) let the objective stop 1e-8 above the
 # optimum on a 100k-point grid; LP results are checked to 1e-9
 HIGHS_TOL = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
-MAX_ATOMS = 64  # Nelder-Mead keeps a (2k+1) x 2k simplex for k atoms
-# the lockstep search evaluates every lane's initial simplex in one call:
-# about 2 MB per lane at MAX_ATOMS, so at most ~250 MB for MAX_RESTARTS + 1 lanes
+# the starts run one after another, each in O(k^2) memory; the bounds keep a
+# job's time in minutes: about 1 s per start at MAX_ATOMS (2-vCPU VM)
+MAX_ATOMS = 64
 MAX_RESTARTS = 128
 
 
@@ -103,7 +102,13 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Knobs for the free penalized multi-start search; the Boolean LP reads none."""
+    """Knobs for the free multi-start search; the Boolean LP reads none.
+
+    restarts random starts run besides the seeded one, each on atom_budget
+    atoms; seed fixes them. penalty_weights is validated but unread: the
+    search has no penalty since 0.11.0, and callers that still pass a
+    schedule keep working.
+    """
 
     penalty_weights: tuple = (1e2, 1e4, 1e6, 1e8)
     restarts: int = 32
@@ -276,74 +281,8 @@ def _boolean_lp(pf, order):
 
 
 # ---------------------------------------------------------------------------
-# Free penalized search
+# Free search
 # ---------------------------------------------------------------------------
-
-# reflection, expansion, outside and inside contraction: a * xbar - b * worst
-_TRIAL_STEPS = np.array([[2.0, 1.0], [3.0, 2.0], [1.5, 0.5], [0.5, -0.5]])
-
-
-def _sorted(sim, fsim):
-    """Each lane's vertices in order of increasing value, best first."""
-    order = np.argsort(fsim, axis=1)
-    lane = np.arange(len(fsim))[:, None]
-    return sim[lane, order], fsim[lane, order]
-
-
-def _nelder_mead(fun, x0, maxiter, xatol, fatol):
-    """Nelder-Mead from every row of x0 at once, each row a lane of one lockstep loop.
-
-    Every lane takes the steps of scipy's non-adaptive method
-    (minimize(method="Nelder-Mead") with these maxiter, xatol and fatol): the
-    same initial simplex, coefficients 1 / 2 / 1/2 / 1/2, choices, sorting and
-    stopping test. fun maps an (R, n) array to R values. Per iteration one
-    call evaluates all four trial points of every live lane, chosen from or
-    not, and one more call evaluates the shrunk vertices of the lanes that
-    shrink. A lane whose simplex meets the xatol/fatol test stops being
-    updated. Returns each lane's best vertex, its value and the number of
-    evaluations scipy would have made for it.
-    """
-    lanes, n = x0.shape
-    sim = np.repeat(x0[:, None, :], n + 1, axis=1)
-    diag = np.arange(n)
-    sim[:, diag + 1, diag] = np.where(x0 != 0, 1.05 * x0, 0.00025)
-    s, f = _sorted(sim, fun(sim.reshape(-1, n)).reshape(lanes, n + 1))
-    x_best, f_best = np.empty_like(x0), np.empty(lanes)
-    nfev = np.full(lanes, n + 1)
-    live = np.arange(lanes)  # the lanes s and f hold, in order
-    for _ in range(maxiter - 1):  # scipy counts the initial simplex as iteration 1
-        done = (np.abs(s[:, 1:] - s[:, :1]).max(axis=(1, 2)) <= xatol) & (
-            np.abs(f[:, :1] - f[:, 1:]).max(axis=1) <= fatol
-        )
-        if done.any():
-            x_best[live[done]], f_best[live[done]] = s[done, 0], f[done].min(axis=1)
-            live, s, f = live[~done], s[~done], f[~done]
-            if not live.size:
-                return x_best, f_best, nfev
-        xbar = s[:, :-1].sum(axis=1) / n
-        trial = _TRIAL_STEPS[:, :1] * xbar[:, None] - _TRIAL_STEPS[:, 1:] * s[:, -1:]
-        ft = fun(trial.reshape(-1, n)).reshape(-1, 4)
-        fr, fe, fc, fcc = ft.T
-        expand = fr < f[:, 0]
-        reflect = ~expand & (fr < f[:, -2])
-        outside = ~expand & ~reflect & (fr < f[:, -1])
-        inside = ~expand & ~reflect & ~outside
-        pick = np.full(len(live), -1)  # index into the trial points; -1 shrinks
-        pick[outside & (fc <= fr)] = 2
-        pick[inside & (fcc < f[:, -1])] = 3
-        pick[expand | reflect] = 0
-        pick[expand & (fe < fr)] = 1
-        moved, shrink = np.flatnonzero(pick >= 0), np.flatnonzero(pick < 0)
-        s[moved, -1] = trial[moved, pick[moved]]
-        f[moved, -1] = ft[moved, pick[moved]]
-        if shrink.size:
-            s[shrink, 1:] = s[shrink, :1] + 0.5 * (s[shrink, 1:] - s[shrink, :1])
-            f[shrink, 1:] = fun(s[shrink, 1:].reshape(-1, n)).reshape(-1, n)
-        nfev[live] += 1 + ~reflect + n * (pick < 0)
-        s, f = _sorted(s, f)
-    x_best[live], f_best[live] = s[:, 0], f.min(axis=1)
-    return x_best, f_best, nfev
-
 
 def _moments(locs, weights, order):
     """Moments 1..order of the laws (locs, weights), one per row of shape (..., k)."""
@@ -355,7 +294,8 @@ def _odd_cumulants(locs, weights, e_kappa):
     """Odd free cumulants of e+y and m2(y), per row, for y supported on (locs, weights).
 
     e_kappa holds e's free cumulants k_1..k_N as a numpy vector, N >= 2; y's
-    come from the batched kernel, one call for all rows.
+    come from the batched kernel, one call for all rows. Complex rows give
+    the complex step: the map has no abs, max or comparison.
     """
     my = _moments(locs, weights, len(e_kappa))
     return (_free_m2k_float(my) + e_kappa)[:, 0::2], my[:, 1]
@@ -368,15 +308,12 @@ def nc_min_variance(p, kind, cfg: SearchConfig = SearchConfig(), allow_critical=
     exact up to its grid of [-3, 2] and deterministic; it does not read cfg.
     At MAX_ORDER = 13 the minimum is p for p <= 0.71 and below p above that.
 
-    Free: penalized Nelder-Mead over atom locations in [-3,2] and softmax
-    weights, with an increasing penalty schedule on the squared odd
-    cumulants of e+y (zero exactly when its odd moments are).
-    Multi-start: cfg.restarts random initializations plus the known equality
-    candidate y = -e in law, all run in lockstep (one batched objective call
-    per Nelder-Mead iteration). The best candidate's atoms of weight above
-    1e-12 are then projected onto k_odd(y) = -k_odd(e), odd orders up to
-    MAX_ORDER, by least squares, kept if that lowers the residual.
-    Deterministic for a fixed config.
+    Free: one SLSQP solve per start over cfg.atom_budget atom locations in
+    [-3, 2] and weights in [0, 1], minimizing m2(y) subject to the odd free
+    cumulants of e+y vanishing up to MAX_ORDER and unit mass. The starts are
+    the known equality candidate y = -e in law and cfg.restarts random laws;
+    they stay candidates too. The lowest m2 among candidates whose gap is
+    below 1e-10 wins, else the smallest gap. Deterministic for a fixed config.
     """
     pf = check_p(float(p), allow_critical)
     kind = IndependenceKind(kind)
@@ -386,83 +323,55 @@ def nc_min_variance(p, kind, cfg: SearchConfig = SearchConfig(), allow_critical=
         return _boolean_lp(pf, MAX_ORDER)
     k = cfg.atom_budget
     e_kappa = _free_m2k_float(np.full(MAX_ORDER, pf))  # Bernoulli(p): m_n = p
-    evaluations = 0  # rows evaluated, by the search and the projection
-
-    def odd_cumulants(locs, weights):
-        nonlocal evaluations
-        evaluations += len(locs)
-        return _odd_cumulants(locs, weights, e_kappa)
-
-    def unpack(x):
-        locs = np.minimum(np.maximum(x[:, :k], -3.0), 2.0)
-        weights = np.exp(x[:, k:] - x[:, k:].max(axis=1, keepdims=True))
-        weights /= weights.sum(axis=1, keepdims=True)
-        return locs, weights
-
-    def objective(lam):
-        def f(x):
-            locs, weights = unpack(x)
-            odd, m2 = odd_cumulants(locs, weights)
-            d = x[:, :k] - locs
-            return m2 + lam * np.einsum("ij,ij->i", odd, odd) + 10.0 * np.einsum("ij,ij->i", d, d)
-
-        return f
-
-    def evaluate(x):
-        odd, m2 = odd_cumulants(*unpack(x))
-        return x, m2, np.abs(odd).max(axis=1)
-
-    rng = np.random.default_rng(cfg.seed)
-    starts = np.empty((cfg.restarts + 1, 2 * k))
-    # seeded equality candidate: atoms at -1 and 0 with weights p, q
-    starts[0, :k] = np.concatenate([[-1.0, 0.0], rng.uniform(-3, 2, k - 2)]) if k >= 2 else [-1.0]
-    starts[0, k:] = -30.0
-    starts[0, k] = np.log(pf)
-    if k >= 2:
-        starts[0, k + 1] = np.log(1 - pf)
-    for xr in starts[1:]:
-        xr[:k] = rng.uniform(-3, 2, k)
-        xr[k:] = rng.normal(0, 1, k)
-
-    x = starts
-    for lam in cfg.penalty_weights:
-        x = _nelder_mead(objective(lam), x, 60 * k, 1e-7, 1e-10)[0]
-    # the initial points themselves are candidates: the seeded start is the
-    # theorem's equality case and must never be lost to solver drift
-    xs, m2, res = (np.concatenate(c) for c in zip(evaluate(starts), evaluate(x)))
-    feasible = res < 1e-6
-    best = np.lexsort((res, m2, ~feasible))[0] if feasible.any() else np.lexsort((m2, res))[0]
-
-    def report(locs, weights):
-        keep = weights > 1e-12
-        mu = DiscreteMeasure.from_atoms(
-            list(zip(locs[keep], weights[keep] / weights[keep].sum())), mode="float"
-        )
-        my = moments_of(mu, MAX_ORDER)
-        msum = convolve_moments(moments_of(bernoulli(pf), MAX_ORDER), my, kind)
-        return mu, my.values[1], float(odd_moment_residual(msum))
-
-    # projection in (locations, weights) of the atoms that carry weight, the
-    # ones report keeps: a dropped atom stays dropped, and a weight can reach
-    # its bound 0, which a softmax logit reaches only at -inf
-    locs, weights = (v[0] for v in unpack(xs[best][None]))
-    keep = weights > 1e-12
-    z0, m = np.concatenate([locs[keep], weights[keep]]), keep.sum()
+    evaluations = 0  # rows of the odd-cumulant map
 
     def gap(z):
-        odd = odd_cumulants(z[:, :m], z[:, m:])[0]
-        return np.hstack([odd, z[:, m:].sum(axis=1, keepdims=True) - 1.0])
+        """Odd cumulants of e+y and the mass row, per row z = (locations, weights)."""
+        nonlocal evaluations
+        evaluations += len(z)
+        odd = _odd_cumulants(z[:, :k], z[:, k:], e_kappa)[0]
+        return np.hstack([odd, z[:, k:].sum(axis=1, keepdims=True) - 1.0])
 
-    def gap_jacobian(z):
-        h = 1.49e-8 * np.maximum(1.0, np.abs(z))  # forward differences in one batched call
-        g = gap(np.vstack([z, z + np.diag(h)]))
-        return ((g[1:] - g[0]) / h[:, None]).T
+    def m2(z):
+        t, w = np.split(z, 2)
+        return w @ t**2, np.concatenate([2.0 * w * t, t**2])
 
-    bounds = (np.r_[np.full(m, -3.0), np.zeros(m)], np.r_[np.full(m, 2.0), np.full(m, np.inf)])
-    # scipy's default tolerances (1e-8) stop it at once: the gap is already ~1e-8
-    projected = least_squares(lambda z: gap(z[None])[0], z0, jac=gap_jacobian, bounds=bounds,
-                              method="trf", ftol=1e-15, xtol=1e-15, gtol=1e-15)
-    mu, m2, residual = min(report(*np.split(z0, 2)), report(*np.split(projected.x, 2)),
-                           key=lambda r: r[2])
+    constraint = {
+        "type": "eq",
+        "fun": lambda z: gap(z[None])[0],
+        # complex step: exact to rounding with h = 1e-30, all 2k rows in one call
+        "jac": lambda z: gap(z + 1e-30j * np.eye(2 * k)).imag.T * 1e30,
+    }
+    bounds = [(-3.0, 2.0)] * k + [(0.0, 1.0)] * k
+
+    rng = np.random.default_rng(cfg.seed)
+    starts = np.zeros((cfg.restarts + 1, 2 * k))
+    # seeded equality candidate: atoms at -1 and 0 with weights p, q
+    starts[0, :k] = np.r_[-1.0, 0.0, rng.uniform(-3, 2, max(k - 2, 0))][:k]
+    starts[0, k:k + 2] = (pf, 1.0 - pf)[:k]
+    for z in starts[1:]:
+        z[:k] = rng.uniform(-3, 2, k)
+        z[k:] = rng.dirichlet(np.ones(k))
+    # with k <= 3 there are fewer variables than equations: SLSQP returns the start
+    solved = [minimize(m2, z, jac=True, method="SLSQP", bounds=bounds, constraints=constraint,
+                       options={"maxiter": 100, "ftol": 1e-12}).x for z in starts]
+    # the starts themselves are candidates: the seeded one is the theorem's
+    # equality case and must never be lost to solver drift
+    zs = np.vstack([starts, solved])
+    res = np.abs(gap(zs)).max(axis=1)
+    m2s = (zs[:, k:] * zs[:, :k] ** 2).sum(axis=1)
+    # a solve that converged ends with a gap below ftol; one cut at maxiter near
+    # the constraint set trades gap for m2 (gap 5.5e-9 gave m2 = p - 2.1e-9)
+    feasible = res < 1e-10
+    best = np.lexsort((res, m2s, ~feasible))[0] if feasible.any() else np.lexsort((m2s, res))[0]
+
+    locs, weights = np.split(zs[best], 2)
+    keep = weights > 1e-12
+    mu = DiscreteMeasure.from_atoms(
+        list(zip(locs[keep], weights[keep] / weights[keep].sum())), mode="float"
+    )
+    my = moments_of(mu, MAX_ORDER)
+    msum = convolve_moments(moments_of(bernoulli(pf), MAX_ORDER), my, kind)
+    residual = float(odd_moment_residual(msum))
     status = "optimal" if residual < 1e-6 else "feasible"
-    return OptResult(m2, mu, residual, status, int(evaluations), MAX_ORDER)
+    return OptResult(my.values[1], mu, residual, status, int(evaluations), MAX_ORDER)

@@ -322,10 +322,10 @@ def test_negative_seed_exit_1(capsys, argv):
          "--y", '{"atoms":[[1,1]],"mode":"float"}'],
         ["symmetry", "--p", "0.3", "--kind", "free", "--measure",
          '{"atoms":[[1e25,1]],"mode":"float"}'],
-        # (and the spread of their draws, whose square overflows: the three-atom draw
-        # carries rounding noise at the scale of 1e25 into every eigenvalue)
-        ["simulate", "--p", "0.3", "--seed", "1", "--n", "20", "--reps", "2", "--measure",
-         '{"atoms":[[1e25,0.5],[0,0.25],[1,0.25]],"mode":"float"}'],
+        # (a three-atom law's draws at order 13; up to order 8 the report is finite,
+        # test_simulate_reports_a_spread_whose_square_overflows)
+        ["simulate", "--p", "0.3", "--seed", "1", "--n", "20", "--reps", "2", "--order", "13",
+         "--measure", '{"atoms":[[1e25,0.5],[0,0.25],[1,0.25]],"mode":"float"}'],
         ["simulate", "--experiment", "proof-identity", "--p", "0.3", "--seed", "1", "--dims", "20",
          "--reps", "1", "--measure", '{"atoms":[[1e308,1]],"mode":"float"}'],
         # finite moments whose sum overflows: an exact law with a float one, and a float law
@@ -343,6 +343,18 @@ def test_negative_seed_exit_1(capsys, argv):
 @pytest.mark.filterwarnings("error")  # a numpy warning on stderr breaks the contract too
 def test_bad_inputs_exit_1(capsys, argv):
     _assert_json_error(capsys, argv)
+
+
+def test_simulate_reports_a_spread_whose_square_overflows(capsys):
+    # every moment up to order 8 is finite (at most 5e199); the two reps' 8th
+    # moments differ by about 1.7e184, whose square is beyond the float range
+    law = '{"atoms": [[1e25, 0.5], [0, 0.25], [1, 0.25]], "mode": "float"}'
+    code, out = run(capsys, "simulate", "--p", "0.3", "--seed", "1", "--n", "20", "--reps", "2",
+                    "--measure", law)
+    obj = json.loads(out, parse_constant=_reject_non_finite)
+    assert code == 0
+    assert len(obj["orders"]) == 8 and all(row["stderr"] >= 0 for row in obj["orders"])
+    assert obj["orders"][-1]["stderr"] > 1e180
 
 
 def test_infeasible_lp_prints_strict_json(capsys):

@@ -8,7 +8,9 @@ both rotated draws run: the principal angles of a two-atom law and the
 Bartlett factors of any other. Options are passed as --name=value or as two
 tokens, so argparse sees values that start with a dash or are not numbers;
 its refusals must be JSON errors too. Sizes are small (simulate: n <= 40,
-reps <= 3, order <= 6), so no example allocates much or runs long.
+reps <= 3, order <= 6), so no example allocates much or runs long. The free
+optimize, a search, has a test of its own with fewer examples: one to six
+atoms and one or two restarts.
 """
 
 import contextlib
@@ -19,6 +21,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from symvar.cli import main
+from symvar.optimizer import MAX_ATOMS, MAX_RESTARTS
 
 
 def _mostly(valid, invalid):
@@ -57,6 +60,8 @@ DIM = _mostly(st.integers(2, 40), st.sampled_from([-1, 0, 1, 2501]))
 REPS = _mostly(st.integers(1, 3), st.sampled_from([-1, 0]))
 SIM_ORDER = _mostly(st.integers(1, 6), st.sampled_from([-1, 0, 14]))
 SEED = _mostly(st.integers(0, 2**32 - 1), st.sampled_from([None, -1]))
+ATOMS = _mostly(st.sampled_from(range(1, 7)), st.sampled_from([-1, 0, MAX_ATOMS + 1, "x"]))
+RESTARTS = _mostly(st.integers(1, 2), st.sampled_from([-1, 0, MAX_RESTARTS + 1, "1.5"]))
 
 
 @st.composite
@@ -126,10 +131,7 @@ def _reject_non_finite(token):
     raise ValueError(f"non-finite number {token} in output")
 
 
-@settings(derandomize=True, max_examples=480, deadline=None, database=None,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(ARGV)
-def test_cli_contract_on_generated_argv(argv):
+def _check_contract(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)  # an exception escaping here would be a traceback
@@ -139,3 +141,18 @@ def test_cli_contract_on_generated_argv(argv):
     assert isinstance(obj, dict), argv
     if code:
         assert set(obj) == {"error", "hint"}, argv
+
+
+@settings(derandomize=True, max_examples=480, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(ARGV)
+def test_cli_contract_on_generated_argv(argv):
+    _check_contract(argv)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_command("optimize", kind=st.just("free"), p=P, atoms=ATOMS, restarts=RESTARTS,
+                seed=SEED))
+def test_cli_contract_on_generated_free_optimize(argv):
+    _check_contract(argv)
