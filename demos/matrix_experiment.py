@@ -15,7 +15,7 @@ y_law = sv.DiscreteMeasure.from_atoms([(-1.0, p), (0.0, 1 - p)], mode="float")
 
 model = ml.MatrixModel(n=800, p=p, y_law=y_law, seed=2026)
 report = ml.empirical_vs_predicted(model, order=8, reps=10)
-print(ml.moments_csv(report))
+print(ml.rows_csv(report["orders"], ["n", "seed", "order", "empirical", "predicted", "abs_error"]))
 
 print("expansion-step residuals (rotated vs commuting):")
 rows = ml.proof_identity_report(p, y_law, dims=[200, 400, 800], seeds_per_dim=3, master_seed=7)

@@ -1,0 +1,76 @@
+"""Print a snapshot of symvar's outputs, to diff two source trees byte for byte.
+
+For each command below it prints the argv, the exit code and the stdout of
+`symvar.cli.main`; for each law it prints the SHA-256 of the rotated and the
+commuting `matrixlab._realize` spectra. A refactor that must not change any
+output gives the same snapshot before and after:
+
+    PYTHONPATH=src python scripts/output_snapshot.py > after.txt
+    (cd ../parent && PYTHONPATH=src python /path/to/output_snapshot.py) > before.txt
+    diff before.txt after.txt
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+
+from symvar import matrixlab
+from symvar.cli import main
+from symvar.measures import DiscreteMeasure
+
+LAWS = {
+    "one_atom": [[-0.5, 1.0]],
+    "two_atom": [[-1.0, 0.3], [0.0, 0.7]],
+    "three_atom": [[-1.0, 0.2], [-0.5, 0.2], [0.0, 0.6]],
+}
+EXACT = '{"atoms": [["-1", "0.3"], ["0", "0.7"]], "mode": "exact"}'
+
+
+def _measure(atoms):
+    return '{"atoms": %s, "mode": "float"}' % atoms
+
+
+def commands():
+    for name, atoms in LAWS.items():
+        for output in ("json", "csv"):
+            yield ["simulate", "--p", "0.3", "--n", "40", "--order", "4", "--reps", "3",
+                   "--seed", "5", "--measure", _measure(atoms), "--output", output]
+            yield ["simulate", "--experiment", "proof-identity", "--p", "0.7", "--dims", "20,41",
+                   "--reps", "2", "--seed", "5", "--measure", _measure(atoms), "--output", output]
+    yield ["optimize", "--kind", "classical", "--p", "0.3"]
+    yield ["optimize", "--kind", "classical", "--p", "0.3", "--relax-order", "3"]
+    yield ["optimize", "--kind", "boolean", "--p", "0.9"]
+    yield ["optimize", "--kind", "FREE", "--p", "0.3", "--seed", "7", "--restarts", "2"]
+    yield ["optimize", "--kind", "bogus", "--p", "0.3"]
+    yield ["certify", "--p", "0.3", "--mode", "exact"]
+    yield ["certify", "--p", "0.45", "--mode", "grid", "--grid", "-3:3:0.01"]
+    yield ["certify", "--p", "0.5"]
+    yield ["convolve", "--kind", "free", "--x", '{"atoms": [["0", "0.5"], ["1", "0.5"]]}',
+           "--y", '{"atoms": [["-1", "0.5"], ["0", "0.5"]]}', "--order", "6"]
+    yield ["convolve", "--kind", "Boolean", "--x", EXACT, "--y", EXACT]
+    yield ["convolve", "--kind", "bogus", "--x", EXACT, "--y", EXACT]
+    yield ["symmetry", "--p", "0.3", "--kind", "classical", "--measure", EXACT]
+    yield ["symmetry", "--p", "0.3", "--kind", "free", "--measure", _measure(LAWS["two_atom"])]
+    yield ["--help"]
+
+
+def main_snapshot():
+    for argv in commands():
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = main(argv)
+        print(f"$ symvar {' '.join(argv)}\nexit {code}\n{buf.getvalue()}")
+    for name, atoms in LAWS.items():
+        law = DiscreteMeasure.from_atoms(atoms, mode="float")
+        for n, p, seed in ((40, 0.3, 1), (41, 0.7, 2), (300, 0.5, 3)):
+            model = matrixlab.MatrixModel(n=n, p=p, y_law=law, seed=seed)
+            for rotate in (True, False):
+                lam = matrixlab._realize(model, rotate=rotate)
+                digest = hashlib.sha256(lam.tobytes()).hexdigest()
+                print(f"_realize {name} n={n} p={p} rotate={rotate}: {len(lam)} {digest}")
+
+
+if __name__ == "__main__":
+    main_snapshot()

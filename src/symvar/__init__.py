@@ -1,14 +1,5 @@
 """Symmetrizer variance bounds via classical, free and Boolean cumulant calculus."""
 
-import os as _os
-
-# SYMVAR_THREADS caps BLAS threads. The BLAS libraries read their variables
-# once, when numpy loads, so they are set here, before any submodule imports
-# numpy; a variable the caller already set wins.
-if "SYMVAR_THREADS" in _os.environ:
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS"):
-        _os.environ.setdefault(_var, _os.environ["SYMVAR_THREADS"])
-
 from .cumulants import (
     CumulantSequence,
     IndependenceKind,
@@ -37,4 +28,4 @@ from .optimizer import (
     nc_min_variance,
 )
 
-__version__ = "0.11.0"
+__version__ = "0.12.0"

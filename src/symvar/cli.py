@@ -72,7 +72,7 @@ def _emit(args, text):
 def _cmd_convolve(args):
     mx = _load_measure(args.x)
     my = _load_measure(args.y)
-    kind = IndependenceKind.parse(args.kind)
+    kind = IndependenceKind(args.kind)
     ms = convolve_moments(moments_of(mx, args.order), moments_of(my, args.order), kind)
     vals = [
         _num_str(v) if mx.mode == "exact" and my.mode == "exact" else float(v)
@@ -85,7 +85,7 @@ def _cmd_convolve(args):
 def _cmd_symmetry(args):
     p = _parse_rational(args.p)
     mu = _load_measure(args.measure)
-    kind = IndependenceKind.parse(args.kind)
+    kind = IndependenceKind(args.kind)
     e = bernoulli(float(p) if mu.mode == "float" else p)
     ms = convolve_moments(moments_of(e, args.order), moments_of(mu, args.order), kind)
     res = odd_moment_residual(ms)
@@ -127,7 +127,7 @@ _OPTION_KIND = {
 
 def _cmd_optimize(args):
     p = _parse_rational(args.p)
-    kind = IndependenceKind.parse(args.kind)
+    kind = IndependenceKind(args.kind)
     classical = kind is IndependenceKind.CLASSICAL
     pf = check_p(float(p), args.allow_critical or classical)  # the classical LP allows p = 1/2
     unread = [f"--{name.replace('_', '-')}" for name, reader in _OPTION_KIND.items()
@@ -137,12 +137,8 @@ def _cmd_optimize(args):
     if classical:
         include = _parse_floats("-1,0" if args.include is None else args.include, ",", "include")
         grid = GridSpec(*_parse_grid("-2:1:0.25" if args.grid is None else args.grid), include)
-        if args.relax_order is not None:
-            result = classical_min_variance(
-                p, grid, mode="moment_relax", relax_order=args.relax_order
-            )
-        else:
-            result = classical_min_variance(p, grid, mode="exact_law")
+        mode = "exact_law" if args.relax_order is None else "moment_relax"
+        result = classical_min_variance(p, grid, mode=mode, relax_order=args.relax_order)
     elif kind is IndependenceKind.BOOLEAN:
         result = nc_min_variance(pf, kind, allow_critical=args.allow_critical)
     else:
@@ -169,25 +165,13 @@ def _cmd_simulate(args):
     if args.experiment == "moments":
         model = matrixlab.MatrixModel(n=args.n, p=float(p), y_law=y_law, seed=args.seed)
         report = matrixlab.empirical_vs_predicted(model, args.order, args.reps)
-        if args.output == "csv":
-            _emit(args, matrixlab.moments_csv(report))
-        else:
-            _emit(args, matrixlab.report_json(report))
+        rows, fields = report["orders"], ["n", "seed", "order", "empirical", "predicted", "abs_error"]
     else:  # proof-identity
-        rows = matrixlab.proof_identity_report(
+        report = rows = matrixlab.proof_identity_report(
             float(p), y_law, _parse_dims(args.dims), args.reps, args.seed
         )
-        if args.output == "csv":
-            import csv as _csv
-            import io
-
-            buf = io.StringIO()
-            w = _csv.DictWriter(buf, fieldnames=list(rows[0].keys()))
-            w.writeheader()
-            w.writerows(rows)
-            _emit(args, buf.getvalue())
-        else:
-            _emit(args, json.dumps(rows))
+        fields = list(rows[0])
+    _emit(args, matrixlab.rows_csv(rows, fields) if args.output == "csv" else json.dumps(report))
     return 0
 
 
@@ -205,6 +189,10 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise SymvarError(message)
+
+    def _print_message(self, message, file=None):
+        # argparse's own swallows the OSError of a closed stdout, so --help exited 0
+        file.write(message)
 
 
 def build_parser():

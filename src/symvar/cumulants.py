@@ -74,11 +74,12 @@ class IndependenceKind(Enum):
     BOOLEAN = "boolean"
 
     @classmethod
-    def parse(cls, name):
-        try:
-            return cls(str(name).lower())
-        except ValueError:
-            raise SizeError(f"unknown independence kind: {name!r}") from None
+    def _missing_(cls, name):
+        """A kind's name in any case; any other name is a SizeError."""
+        for kind in cls:
+            if kind.value == str(name).lower():
+                return kind
+        raise SizeError(f"unknown independence kind: {name!r}")
 
 
 @dataclass(frozen=True)

@@ -50,7 +50,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,28 +99,6 @@ class MatrixModel:
         return abs(self.rank() / self.n - self.p)
 
 
-def sample_haar_isometry(n, k, seed):
-    """First k columns of a Haar unitary: thin QR of an n x k complex Ginibre matrix.
-
-    The diagonal phase of R is divided out so the distribution is exactly
-    Haar rather than QR-convention dependent.
-    """
-    if not 0 <= k <= n:
-        raise SizeError(f"isometry needs 0 <= k <= n, got n = {n}, k = {k}")
-    rng = np.random.default_rng(seed)
-    z = (rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))) / np.sqrt(2)
-    q, r = np.linalg.qr(z)
-    d = np.diag(r)
-    return q * (d / np.abs(d))
-
-
-def sample_haar_unitary(n, seed):
-    """Haar-distributed n x n unitary (the k = n isometry)."""
-    if n < 1:
-        raise SizeError("dimension must be >= 1")
-    return sample_haar_isometry(n, n, seed)
-
-
 def spectral_multiplicities(mu: DiscreteMeasure, n):
     """Eigenvalue counts per atom by largest-remainder rounding, summing to n."""
     weights = np.array([float(w) for _, w in mu.atoms])
@@ -152,25 +129,19 @@ def _bartlett_factor(n, s, rng):
     return t
 
 
-def _bartlett_spectrum(model: MatrixModel):
-    """Eigenvalues (unordered) of E + U D U* for any law, from the stacked Bartlett factors T.
+def _bartlett_spectrum(atoms, counts, s, sigma, rng):
+    """Eigenvalues (unordered) of D + sigma F for any law, from the stacked Bartlett factors T.
 
     The compressed matrix of the module docstring, diag(a_j 1_{m_j}) + sigma R R*
     with R* = L^-1 T* and L L* = T*T, has one eigvalsh; the atoms the
-    compression leaves out and the shift follow.
+    compression leaves out follow.
     """
-    n, r = model.n, model.rank()
-    s = min(r, n - r)
-    sigma, shift = (1.0, 0.0) if r <= n - r else (-1.0, 1.0)
-    counts = spectral_multiplicities(model.y_law, n)
     kept = np.minimum(counts, s)
-    atoms = [float(t) for t, _ in model.y_law.atoms]
-    rng = np.random.default_rng(model.seed)
     t = np.vstack([_bartlett_factor(int(c), s, rng) for c in counts])
     rh = np.linalg.solve(np.linalg.cholesky(t.conj().T @ t), t.conj().T)  # R* = L^-1 T*
     small = (sigma * rh.conj().T) @ rh
     small[np.diag_indices_from(small)] += np.repeat(atoms, kept)
-    return np.concatenate([np.linalg.eigvalsh(small), np.repeat(atoms, counts - kept)]) + shift
+    return np.concatenate([np.linalg.eigvalsh(small), np.repeat(atoms, counts - kept)])
 
 
 def _squared_cosines(g, a, b, rng):
@@ -193,21 +164,17 @@ def _squared_cosines(g, a, b, rng):
     return np.clip(lam, 0.0, 1.0)
 
 
-def _two_atom_spectrum(model: MatrixModel):
-    """Eigenvalues (unordered) of E + U D U* for a two-atom law, from its principal angles.
+def _two_atom_spectrum(atoms, counts, s, sigma, rng):
+    """Eigenvalues (unordered) of D + sigma F for a two-atom law, from its principal angles.
 
     Each squared cosine lambda gives the two roots of the 2 x 2 block of the
     module docstring; the root of the same sign as the half trace m is
     m +- h, the other is det / (m +- h), so neither cancels.
     """
-    n, r = model.n, model.rank()
-    s = min(r, n - r)
-    sigma, shift = (1.0, 0.0) if r <= n - r else (-1.0, 1.0)
-    (a1, _), (a2, _) = model.y_law.atoms
-    a1, a2 = float(a1), float(a2)
-    n1, n2 = (int(c) for c in spectral_multiplicities(model.y_law, n))
+    a1, a2 = atoms
+    n1, n2 = (int(c) for c in counts)
     g = min(n1, n2, s)
-    lam = _squared_cosines(g, abs(n1 - s), abs(n2 - s), np.random.default_rng(model.seed))
+    lam = _squared_cosines(g, abs(n1 - s), abs(n2 - s), rng)
     m = 0.5 * (a1 + a2 + sigma)
     h = np.hypot(0.5 * (a1 - a2) + sigma * (lam - 0.5), np.sqrt(lam * (1.0 - lam)))
     big = m + np.copysign(h, m)
@@ -217,26 +184,29 @@ def _two_atom_spectrum(model: MatrixModel):
         [a1, a2, a1 + sigma, a2 + sigma],
         [max(0, n1 - s), max(0, n2 - s), max(0, s - n2), max(0, s - n1)],
     )
-    return np.concatenate([big, small, structural]) + shift
+    return np.concatenate([big, small, structural])
 
 
 def _realize(model: MatrixModel, rotate=True):
     """Eigenvalues of E + Y.
 
     rotate=True draws the Haar-rotated (asymptotically free) model exactly in
-    law: from the principal angles when the law has two atoms, and otherwise
-    from the Bartlett factors of the module docstring. rotate=False
-    interleaves the y spectrum inside each E block so E and Y commute and
-    realize classical independence up to rounding.
+    law, as D + sigma F plus the shift of the module docstring: from the
+    principal angles when the law has two atoms, and otherwise from the
+    Bartlett factors. rotate=False interleaves the y spectrum inside each E
+    block so E and Y commute and realize classical independence up to
+    rounding.
     """
     n, r = model.n, model.rank()
-    if rotate:
-        if len(model.y_law.atoms) == 2:
-            return _two_atom_spectrum(model)
-        return _bartlett_spectrum(model)
-    d1 = _eigenvalue_vector(model.y_law, r)
-    d0 = _eigenvalue_vector(model.y_law, n - r)
-    return np.concatenate([1.0 + d1, d0])
+    if not rotate:
+        d1 = _eigenvalue_vector(model.y_law, r)
+        d0 = _eigenvalue_vector(model.y_law, n - r)
+        return np.concatenate([1.0 + d1, d0])
+    sigma, shift = (1.0, 0.0) if r <= n - r else (-1.0, 1.0)
+    counts = spectral_multiplicities(model.y_law, n)
+    atoms = [float(t) for t, _ in model.y_law.atoms]
+    draw = _two_atom_spectrum if len(atoms) == 2 else _bartlett_spectrum
+    return draw(atoms, counts, min(r, n - r), sigma, np.random.default_rng(model.seed)) + shift
 
 
 def simulate_free_sum(model: MatrixModel, order) -> MomentSequence:
@@ -254,23 +224,20 @@ def simulate_free_sum(model: MatrixModel, order) -> MomentSequence:
     return MomentSequence(moments)
 
 
-def test_proof_identity(model: MatrixModel, grid_free=True, func=None):
+def test_proof_identity(model: MatrixModel, grid_free=True):
     """Residual |tr f(E+Y)/n - (q tr f(Y)/n + p tr f(1+Y)/n)| for f = psi.
 
     grid_free=True uses the Haar-rotated (asymptotically free) model; False
-    uses the commuting block model, where the expansion holds exactly. A
-    different test function may be supplied via func (e.g. identity).
+    uses the commuting block model, where the expansion holds exactly.
     """
     p = model.p
     q = 1.0 - p
-    if func is None:
-        d = q - check_p(p)  # psi divides by q - p = 1 - 2p
-        func = lambda t: _psi(t, d)  # noqa: E731
+    d = q - check_p(p)  # psi divides by q - p = 1 - 2p
     lam = _realize(model, rotate=grid_free)
-    lhs = float(np.mean([func(t) for t in lam]))
+    lhs = float(np.mean([_psi(t, d) for t in lam]))
     dy = _eigenvalue_vector(model.y_law, model.n)
-    rhs = q * float(np.mean([func(t) for t in dy])) + p * float(
-        np.mean([func(1.0 + t) for t in dy])
+    rhs = q * float(np.mean([_psi(t, d) for t in dy])) + p * float(
+        np.mean([_psi(1.0 + t, d) for t in dy])
     )
     return abs(lhs - rhs)
 
@@ -359,17 +326,10 @@ def empirical_vs_predicted(model: MatrixModel, order, reps):
     }
 
 
-def moments_csv(report):
-    """CSV (n, seed, order, empirical, predicted, abs_error) for a report."""
+def rows_csv(rows, fields):
+    """CSV text of the given fields of each row (a dict), with a header line."""
     buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["n", "seed", "order", "empirical", "predicted", "abs_error"])
-    for r in report["orders"]:
-        writer.writerow(
-            [r["n"], r["seed"], r["order"], r["empirical"], r["predicted"], r["abs_error"]]
-        )
+    writer = csv.DictWriter(buf, fieldnames=fields, extrasaction="ignore")
+    writer.writeheader()
+    writer.writerows(rows)
     return buf.getvalue()
-
-
-def report_json(report):
-    return json.dumps(report)

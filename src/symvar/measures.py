@@ -55,8 +55,6 @@ class DiscreteMeasure:
                 raise SizeError(f"weights sum to {total}, expected 1")
         elif abs(total - 1.0) > 1e-12:
             raise SizeError(f"weights sum to {total!r}, expected 1 within 1e-12")
-        if not merged:
-            raise SizeError("measure has no atoms")
         return cls(tuple((t, w) for t, w in merged), mode)
 
     def to_json(self):
@@ -130,10 +128,6 @@ def bernoulli(p) -> DiscreteMeasure:
     if not 0 <= p <= 1:
         raise SizeError(f"p must lie in [0,1], got {p}")
     one = 1.0 if mode == "float" else Fraction(1)
-    if p == 0:
-        return DiscreteMeasure.from_atoms([(0 * one, one)], mode)
-    if p == 1:
-        return DiscreteMeasure.from_atoms([(one, one)], mode)
     return DiscreteMeasure.from_atoms([(0 * one, one - p), (one, p)], mode)
 
 

@@ -143,7 +143,7 @@ class OptResult:
     measure: DiscreteMeasure | None
     residual: float | None
     status: str  # "optimal" | "feasible" | "infeasible"
-    evaluations: int = 0  # objective evaluations of the search; 0 for the LP
+    evaluations: int = 0  # rows of the search's odd-cumulant map; 0 for the LPs
     order: int | None = None
 
     def to_json(self):

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from conftest import random_exact_measure
+from symvar import certificate
 from symvar.certificate import (
     certificate_lower_bound,
     psi,
@@ -161,6 +162,19 @@ def test_tangency_slopes_match():
         right = (sawtooth(t0 + eps) - sawtooth(t0)) / eps
         assert left == right == expected
         assert 2 * t0 + 1 == expected
+
+
+def test_identity_check_fails_on_a_perturbed_sawtooth(monkeypatch):
+    # h + eps on both sides leaves the identity off by eps (1/(q-p) - 1)
+    exact_sawtooth = certificate.sawtooth
+    monkeypatch.setattr(certificate, "sawtooth", lambda t: exact_sawtooth(t) + (
+        1e-6 if isinstance(t, float) else F(1, 10**9)))
+    exact_grid = [F(i, 7) - 3 for i in range(43)]
+    float_grid = [i / 10 - 3 for i in range(61)]
+    assert verify_identity(F(3, 10), exact_grid) is False
+    assert verify_identity(0.3, float_grid) is False
+    assert verify_inequality_exact(F(3, 10)).identity_ok is False
+    assert verify_inequality_grid(0.3, float_grid).identity_ok is False
 
 
 def test_inequality_exact_rejects_critical_case():

@@ -367,18 +367,6 @@ def test_infeasible_lp_prints_strict_json(capsys):
     assert obj["objective"] is None and obj["residual"] is None and obj["measure"] is None
 
 
-def _env_after_import(**preset):
-    env = {k: v for k, v in os.environ.items()
-           if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS")}
-    env.update(preset)
-    env["PYTHONPATH"] = str(Path(symvar.__file__).resolve().parents[1])
-    code = ("import os, symvar; print(os.environ.get('OMP_NUM_THREADS'), "
-            "os.environ.get('OPENBLAS_NUM_THREADS'))")
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=120, check=True)
-    return done.stdout.split()
-
-
 @pytest.mark.parametrize("unbuffered", [True, False])
 def test_closed_stdout_exits_1_without_traceback(unbuffered):
     # the reader is gone before anything is written, as with `symvar ... | head -c 100`
@@ -404,6 +392,30 @@ def test_closed_stdout_exits_1_without_traceback(unbuffered):
         assert done.stderr == b"", argv
 
 
+@pytest.mark.parametrize("unbuffered", [True, False])
+def test_help_to_closed_stdout_exits_1(unbuffered):
+    # argparse's own _print_message swallows the OSError, so an unbuffered --help exited 0
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(symvar.__file__).resolve().parents[1])
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    for argv in (["--help"], ["certify", "--help"]):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run([sys.executable, "-m", "symvar.cli", *argv], stdout=write_end,
+                                  stderr=subprocess.PIPE, env=env, timeout=120)
+        finally:
+            os.close(write_end)
+        assert done.returncode == 1, argv
+        assert done.stderr == b"", argv
+        for target in (subprocess.PIPE, subprocess.DEVNULL):
+            done = subprocess.run([sys.executable, "-m", "symvar.cli", *argv], stdout=target,
+                                  stderr=subprocess.PIPE, env=env, timeout=120)
+            assert done.returncode == 0, argv
+            assert done.stderr == b"", argv
+
+
 def _readme_cli_examples():
     """Every `symvar ...` command of README's CLI block, continuation lines joined."""
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -426,9 +438,24 @@ def test_readme_cli_examples(capsys):
             json.loads(out, parse_constant=_reject_non_finite)
 
 
-def test_symvar_threads_sets_blas_variables():
-    assert _env_after_import(SYMVAR_THREADS="1") == ["1", "1"]
-    assert _env_after_import(SYMVAR_THREADS="1", OPENBLAS_NUM_THREADS="2") == ["1", "2"]
+@pytest.mark.parametrize(
+    "experiment,header",
+    [
+        ("moments", ["n", "seed", "order", "empirical", "predicted", "abs_error"]),
+        ("proof-identity", ["n", "seed", "rotated_residual", "commuting_residual"]),
+    ],
+)
+def test_simulate_csv_holds_the_json_rows(capsys, experiment, header):
+    argv = ["simulate", "--experiment", experiment, "--p", "0.3", "--n", "30", "--dims", "20,30",
+            "--order", "3", "--reps", "2", "--seed", "5"]
+    code, out = run(capsys, *argv)
+    obj = json.loads(out)
+    rows = obj["orders"] if experiment == "moments" else obj
+    code_csv, out_csv = run(capsys, *argv, "--output", "csv")
+    assert code == 0 == code_csv
+    table = list(csv.reader(io.StringIO(out_csv)))
+    assert table[0] == header
+    assert table[1:] == [[str(row[key]) for key in header] for row in rows]
 
 
 @pytest.mark.parametrize("experiment", ["moments", "proof-identity"])

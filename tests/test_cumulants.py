@@ -22,6 +22,7 @@ from symvar.cumulants import (
 )
 from symvar.errors import OrderError, SizeError
 from symvar.measures import bernoulli, dilate, moments_of, negate
+from symvar.optimizer import nc_min_variance
 from lattice import enumerate_partitions
 
 K = IndependenceKind
@@ -246,6 +247,16 @@ def test_order_limits():
         MomentSequence((F(0),) * 14)
     with pytest.raises(OrderError):
         MomentSequence(())
+
+
+def test_kind_names_in_any_case_and_unknown_kinds_refused():
+    assert K("Free") is K.FREE
+    assert K(K.BOOLEAN) is K.BOOLEAN
+    m = moments_of(bernoulli(F(3, 10)), 4)
+    with pytest.raises(SizeError, match="unknown independence kind: 'bogus'"):
+        convolve_moments(m, m, "bogus")
+    with pytest.raises(SizeError):
+        nc_min_variance(0.3, "bogus")
 
 
 def test_mismatched_orders_rejected():

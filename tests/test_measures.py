@@ -89,6 +89,13 @@ def test_duplicate_atoms_merge():
     assert len(muf.atoms) == 1
 
 
+def test_empty_measure_refused():
+    # caught by the weight-sum check: an empty list sums to 0
+    for mode in ("exact", "float"):
+        with pytest.raises(SizeError):
+            DiscreteMeasure.from_atoms([], mode=mode)
+
+
 def test_weight_validation():
     with pytest.raises(SizeError):
         DiscreteMeasure.from_atoms([(F(0), F(1, 2))])
