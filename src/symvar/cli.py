@@ -12,19 +12,20 @@ import json
 import os
 import re
 import sys
-from fractions import Fraction
 
 from . import matrixlab
 from .certificate import verify_inequality_exact, verify_inequality_grid
 from .cumulants import IndependenceKind, convolve_moments, odd_moment_residual
-from .errors import CriticalCaseError, SymvarError
-from .measures import DiscreteMeasure, _num_str, bernoulli, check_p, moments_of
+from .errors import CriticalCaseError, SizeError, SymvarError
+from .measures import DiscreteMeasure, _num_str, bernoulli, check_p, exact_number, moments_of
 from .optimizer import GridSpec, SearchConfig, classical_min_variance, nc_min_variance
 
 
 def _parse_rational(text):
     try:
-        x = Fraction(text)
+        x = exact_number(text)
+    except SizeError:
+        raise
     except (ValueError, ZeroDivisionError):
         raise SymvarError(f"cannot parse rational {text!r}") from None
     if abs(x) > sys.float_info.max:  # every command also uses p as a float

@@ -53,7 +53,6 @@ import io
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigvalsh_tridiagonal
 
 from .certificate import _psi
 from .cumulants import MAX_ORDER, IndependenceKind, MomentSequence, convolve_moments
@@ -151,8 +150,12 @@ def _squared_cosines(g, a, b, rng):
     bidiagonal B whose row i (k = g - i + 1) has diagonal c_k s'_k (s'_g = 1)
     and superdiagonal -s_k c'_{k-1}, with c_k^2 ~ Beta(a + k, b + k) and
     c'_k^2 ~ Beta(k, a + b + 1 + k), all independent. They are the
-    eigenvalues of the tridiagonal B^T B.
+    eigenvalues of the tridiagonal B^T B. scipy.linalg is imported on the
+    first call: the CLI imports this module, and neither the other draws nor
+    the exact commands use scipy.
     """
+    from scipy.linalg import eigvalsh_tridiagonal
+
     if g == 0:
         return np.empty(0)
     k = np.arange(g, 0, -1)

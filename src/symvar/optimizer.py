@@ -36,6 +36,10 @@ Every result reports as residual the largest odd moment of e+y, computed
 from the returned measure through convolve_moments.
 OptResult.evaluations counts every row of the odd-cumulant map: constraint
 and Jacobian rows and the candidates; it is 0 for an LP.
+
+scipy.optimize and scipy.sparse are imported inside the functions that call
+them, on the first LP or search: the CLI imports this module, and its exact
+commands never use scipy, whose optimize package takes about 0.6 s to import.
 """
 
 from __future__ import annotations
@@ -45,8 +49,6 @@ from dataclasses import dataclass
 from math import isfinite
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linprog, minimize
 
 from .cumulants import (
     MAX_ORDER,
@@ -61,8 +63,9 @@ from .measures import DiscreteMeasure, bernoulli, check_p, moments_of, variance
 MAX_GRID_POINTS = 100_000
 MAX_RELAX_ORDER = (MAX_ORDER - 1) // 2  # odd orders 1..MAX_ORDER, as the residual reports
 # HiGHS's default tolerances (1e-7) let the objective stop 1e-8 above the
-# optimum on a 100k-point grid; LP results are checked to 1e-9
+# optimum on a 100k-point grid; LP results are checked to LP_GATE
 HIGHS_TOL = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
+LP_GATE = 1e-9
 # the starts run one after another, each in O(k^2) memory; the bounds keep a
 # job's time in minutes: about 1 s per start at MAX_ATOMS (2-vCPU VM)
 MAX_ATOMS = 64
@@ -169,9 +172,13 @@ def _lp(c, A, b, law, objective, pf, kind, order):
     law maps the solution to y's (locations, weights); atoms of weight above
     1e-12 are kept and renormalized. objective maps the returned measure to
     the reported objective, and the residual is the largest odd moment of e+y
-    through convolve_moments. Infeasible is a result; any other failure of
-    the solver is an error.
+    through convolve_moments. The status is "optimal" when the odd moments
+    the LP constrains, up to order (up to MAX_ORDER when order is None), are
+    within LP_GATE, else "feasible". Infeasible is a result; any other
+    failure of the solver is an error.
     """
+    from scipy.optimize import linprog
+
     res = linprog(c, A_eq=A, b_eq=b, bounds=(0, None), method="highs", options=HIGHS_TOL)
     if res.status == 2:
         return OptResult(None, None, None, "infeasible", order=order)
@@ -182,8 +189,10 @@ def _lp(c, A, b, law, objective, pf, kind, order):
     w = weights[keep] / weights[keep].sum()
     mu = DiscreteMeasure.from_atoms(zip(locs[keep], w), mode="float")
     msum = convolve_moments(moments_of(mu, MAX_ORDER), moments_of(bernoulli(pf), MAX_ORDER), kind)
-    return OptResult(float(objective(mu)), mu, float(odd_moment_residual(msum)), "optimal",
-                     order=order)
+    # moment_relax leaves the odd moments above its order free
+    gated = max(map(abs, msum.values[: order or MAX_ORDER : 2]))
+    return OptResult(float(objective(mu)), mu, float(odd_moment_residual(msum)),
+                     "optimal" if gated <= LP_GATE else "feasible", order=order)
 
 
 def _mirror_rows(g, pf):
@@ -194,6 +203,8 @@ def _mirror_rows(g, pf):
     sign of t+1. Sorted values of |v| less than 1e-9 apart are one value;
     |v| < 1e-9 is the centre and has no row.
     """
+    from scipy import sparse
+
     nv = len(g)
     v = np.concatenate([g, g + 1.0])
     coef = np.concatenate([np.full(nv, 1.0 - pf), np.full(nv, pf)]) * np.sign(v)
@@ -216,6 +227,8 @@ def classical_min_variance(p, grid: GridSpec, mode="exact_law", relax_order=None
     pinned to -p by the k=0 constraint) with HiGHS on sparse rows, and the
     reported objective is the variance of the returned measure.
     """
+    from scipy import sparse
+
     pf = check_p(float(p), allow_critical=True)
     g = np.array(grid.points())
     if mode == "exact_law":
@@ -283,6 +296,13 @@ def _boolean_lp(pf, order):
 # ---------------------------------------------------------------------------
 # Free search
 # ---------------------------------------------------------------------------
+
+def minimize(*args, **kwargs):
+    """scipy.optimize.minimize, imported on the first call; bench/tracing.py wraps this name."""
+    from scipy import optimize
+
+    return optimize.minimize(*args, **kwargs)
+
 
 def _moments(locs, weights, order):
     """Moments 1..order of the laws (locs, weights), one per row of shape (..., k)."""

@@ -5,6 +5,7 @@ import os
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -509,6 +510,79 @@ def test_dashed_values_as_separate_tokens(capsys):
                     "--grid", "-2:1:0.5", "--include", "-1,0")
     assert code == 0
     assert json.loads(out)["objective"] == pytest.approx(0.21, abs=1e-9)
+
+
+# atoms at coprime 999-digit denominators: each number is within the digit
+# bound, their common denominator is not (20 of them took 55 s to convolve)
+_COPRIME = json.dumps({"atoms": [[f"1/{10**998 + 2 * i + 1}", "1/20"] for i in range(20)]})
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # an exact result beyond Python's int-to-string limit (a traceback before)
+        ["convolve", "--kind", "classical", "--x", '{"atoms":[["1e400","1"]]}',
+         "--y", '{"atoms":[["0","1"]]}', "--order", "13"],
+        ["certify", "--p", "1e-5000"],
+        # numbers beyond the digit bound: refused before they are built
+        ["symmetry", "--p", "0.3", "--kind", "classical", "--measure",
+         '{"atoms":[["1e1000000","1"]]}'],
+        ["certify", "--p", "1e-100000000"],
+        ["symmetry", "--p", "0.3", "--kind", "free", "--measure",
+         '{"atoms":[[%s,1]]}' % ("1" * 5000)],
+        ["convolve", "--kind", "free", "--x", _COPRIME, "--y", _COPRIME],
+    ],
+)
+def test_huge_exact_inputs_exit_1_at_once(capsys, argv):
+    start = time.perf_counter()
+    code, out = run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    assert "digits" in json.loads(out)["error"]
+
+
+@pytest.mark.parametrize("measure", ["{}", '{"mode": "exact"}', "[]"])
+def test_measure_without_atoms_names_the_format(capsys, measure):
+    code, out = run(capsys, "symmetry", "--p", "0.3", "--kind", "free", "--measure", measure)
+    assert code == 1
+    assert json.loads(out)["error"] == 'a measure is a JSON object with an "atoms" list'
+
+
+_SCIPY_SUBPACKAGES = ("scipy.optimize", "scipy.sparse", "scipy.linalg")
+_IMPORTS_SNIPPET = """
+import contextlib, io, json, sys
+import symvar, symvar.cli, symvar.matrixlab
+
+
+def loaded(*argv):  # the scipy subpackages loaded after cli.main(argv), or after the imports
+    if argv:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert symvar.cli.main(list(argv)) == 0, argv
+    return [name for name in %r if name in sys.modules]
+
+
+three_atom = '{"atoms": [[-1, 0.2], [-0.5, 0.2], [0, 0.6]], "mode": "float"}'
+exact = '{"atoms": [["-1", "0.3"], ["0", "0.7"]]}'
+print(json.dumps([
+    loaded(),
+    loaded("certify", "--p", "0.3"),
+    loaded("certify", "--p", "0.3", "--mode", "grid", "--grid", "-1:1:0.5"),
+    loaded("convolve", "--kind", "free", "--x", exact, "--y", exact),
+    loaded("symmetry", "--p", "0.3", "--kind", "boolean", "--measure", exact),
+    loaded("simulate", "--p", "0.3", "--n", "30", "--order", "3", "--reps", "2", "--seed", "1",
+           "--measure", three_atom),
+    loaded("optimize", "--kind", "classical", "--p", "0.3"),
+]))
+""" % (_SCIPY_SUBPACKAGES,)
+
+
+def test_exact_commands_load_no_scipy_subpackage():
+    env = dict(os.environ, PYTHONPATH=str(Path(symvar.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-c", _IMPORTS_SNIPPET], capture_output=True,
+                          text=True, env=env, timeout=120, check=True)
+    *exact, optimize = json.loads(done.stdout)
+    assert exact == [[]] * 6
+    assert "scipy.optimize" in optimize
 
 
 def test_unknown_kind_exit_1(capsys):

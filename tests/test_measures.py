@@ -6,9 +6,12 @@ import pytest
 from conftest import random_exact_measure
 from symvar.errors import OrderError, SizeError, SymvarError
 from symvar.measures import (
+    MAX_EXACT_DIGITS,
     DiscreteMeasure,
+    _num_str,
     bernoulli,
     dilate,
+    exact_number,
     mean,
     moments_of,
     negate,
@@ -125,8 +128,34 @@ def test_malformed_or_non_finite_atoms_rejected(pairs, mode):
 
 
 def test_from_json_rejects_non_object():
-    with pytest.raises(SymvarError):
-        DiscreteMeasure.from_json("[1, 2]")
+    for text in ("[1, 2]", "{}", '{"mode": "float"}'):
+        with pytest.raises(SymvarError, match='JSON object with an "atoms" list'):
+            DiscreteMeasure.from_json(text)
+
+
+def test_exact_digit_bound():
+    big = 10**MAX_EXACT_DIGITS - 1  # the most digits allowed
+    for x in (big, F(-1, big), f"1e{MAX_EXACT_DIGITS - 1}", f"1e-{MAX_EXACT_DIGITS - 1}",
+              5e-324, "1.5E+3"):
+        assert exact_number(x) == F(x)
+    for x in (big + 1, F(1, big + 1), f"1e{MAX_EXACT_DIGITS + 1}", "1e-1000000", "3e99999999"):
+        with pytest.raises(SizeError):
+            exact_number(x)
+    with pytest.raises(SizeError, match="digits"):
+        DiscreteMeasure.from_atoms([(f"1e{MAX_EXACT_DIGITS + 1}", 1)])
+    with pytest.raises(SizeError, match="common denominator"):
+        DiscreteMeasure.from_atoms([(F(1, 10**998 + 1), F(1, 2)), (F(1, 10**998 + 3), F(1, 2))])
+    with pytest.raises(SizeError, match="digits"):
+        DiscreteMeasure.from_json('{"atoms": [[%s, 1]]}' % ("1" * 5000))
+    # float mode keeps its own checks
+    assert DiscreteMeasure.from_atoms([("1e-1000", 1)], mode="float").atoms == ((0.0, 1.0),)
+
+
+def test_num_str_beyond_the_int_to_string_limit():
+    assert _num_str(F(1, 10**MAX_EXACT_DIGITS)) == "0." + "0" * (MAX_EXACT_DIGITS - 1) + "1"
+    for x in (10**5000, F(1, 3**10000), F(3**10000, 2)):  # integer, a/b and decimal
+        with pytest.raises(SizeError, match="more digits"):
+            _num_str(x)
 
 
 def test_order_limit():

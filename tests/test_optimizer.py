@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+import scipy.optimize
 from scipy.optimize import OptimizeResult
 
 from symvar import optimizer
@@ -76,9 +77,44 @@ def test_infeasible_grid():
 def test_lp_solver_failure_is_an_error(monkeypatch):
     # a HiGHS status other than optimal (0) or infeasible (2) is never reported as a result
     failed = OptimizeResult(status=4, message="Numerical difficulties encountered.")
-    monkeypatch.setattr(optimizer, "linprog", lambda *args, **kwargs: failed)
+    monkeypatch.setattr(scipy.optimize, "linprog", lambda *args, **kwargs: failed)
     with pytest.raises(SymvarError, match="Numerical difficulties"):
         classical_min_variance(0.3, GRID)
+
+
+def _perturbed_linprog(monkeypatch, scale):
+    """Make every LP return HiGHS's solution with its first positive entry scaled."""
+    linprog = scipy.optimize.linprog
+
+    def perturbed(*args, **kwargs):
+        res = linprog(*args, **kwargs)
+        res.x[np.flatnonzero(res.x > 1e-6)[0]] *= scale
+        return res
+
+    monkeypatch.setattr(scipy.optimize, "linprog", perturbed)
+
+
+@pytest.mark.parametrize("solve", [
+    lambda: classical_min_variance(0.3, GRID),
+    lambda: classical_min_variance(0.3, GRID, mode="moment_relax", relax_order=MAX_RELAX_ORDER),
+    lambda: nc_min_variance(0.9, "boolean"),
+])
+def test_lp_reports_feasible_above_the_residual_gate(monkeypatch, solve):
+    _perturbed_linprog(monkeypatch, 1.0 + 1e-14)  # within the gate
+    assert solve().status == "optimal"
+    monkeypatch.undo()
+    _perturbed_linprog(monkeypatch, 1.0 + 1e-6)
+    result = solve()
+    assert result.status == "feasible"
+    assert result.residual > optimizer.LP_GATE
+
+
+def test_lp_gate_reads_only_the_constrained_orders():
+    # moment_relax at relax_order 1 leaves m_5 .. m_13 of X + Y free: the
+    # reported residual (all odd orders to 13) is large, the LP is optimal
+    result = classical_min_variance(0.3, GRID, mode="moment_relax", relax_order=1)
+    assert result.status == "optimal"
+    assert result.residual > 1.0
 
 
 def test_lp_input_contract():
@@ -175,6 +211,21 @@ def test_nc_search_small_config(kind):
     assert not (result.objective < 0.3 - 1e-4 and result.residual < 1e-8)
 
 
+def test_free_search_calls_the_module_minimize_once_per_start(monkeypatch):
+    # bench/tracing.py counts SLSQP evaluations by wrapping optimizer.minimize
+    calls = []
+    original = optimizer.minimize
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(optimizer, "minimize", counting)
+    cfg = SearchConfig(restarts=3, atom_budget=2, seed=4)
+    assert nc_min_variance(0.3, "free", cfg).status == "optimal"
+    assert len(calls) == cfg.restarts + 1
+
+
 def test_nc_search_deterministic():
     a = nc_min_variance(0.7, "free", SMALL)
     b = nc_min_variance(0.7, "free", SMALL)
@@ -221,8 +272,8 @@ def test_boolean_lp_rows_hold_at_equality_case(p, monkeypatch):
         calls.append((A_eq, b_eq))
         return linprog(c, A_eq=A_eq, b_eq=b_eq, **kwargs)
 
-    linprog = optimizer.linprog
-    monkeypatch.setattr(optimizer, "linprog", capture)
+    linprog = scipy.optimize.linprog
+    monkeypatch.setattr(scipy.optimize, "linprog", capture)
     optimizer._boolean_lp(p, MAX_ORDER)
     (A, b), = calls
     t = np.array(GridSpec(-3.0, 2.0, 0.0025, must_include=(p - 1.0,)).points())
