@@ -1,9 +1,12 @@
 """Print a snapshot of symvar's outputs, to diff two source trees byte for byte.
 
 For each command below it prints the argv, the exit code and the stdout of
-`symvar.cli.main`; for each law it prints the SHA-256 of the rotated and the
-commuting `matrixlab._realize` spectra. A refactor that must not change any
-output gives the same snapshot before and after:
+`symvar.cli.main` (or the exception it raised); for each law it prints the
+SHA-256 of the rotated and the commuting `matrixlab._realize` spectra. The
+commands run in a scratch directory that holds `deep.json`, a measure nested
+DEPTH arrays deep; an argument longer than 80 characters prints as its length
+and first characters. A refactor that must not change any output gives the
+same snapshot before and after:
 
     PYTHONPATH=src python scripts/output_snapshot.py > after.txt
     (cd ../parent && PYTHONPATH=src python /path/to/output_snapshot.py) > before.txt
@@ -15,6 +18,8 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import os
+import tempfile
 
 from symvar import matrixlab
 from symvar.cli import main
@@ -26,6 +31,8 @@ LAWS = {
     "three_atom": [[-1.0, 0.2], [-0.5, 0.2], [0.0, 0.6]],
 }
 EXACT = '{"atoms": [["-1", "0.3"], ["0", "0.7"]], "mode": "exact"}'
+DEPTH = 100_000
+DEEP = "[" * DEPTH + "]" * DEPTH
 
 
 def _measure(atoms):
@@ -41,27 +48,52 @@ def commands():
                    "--reps", "2", "--seed", "5", "--measure", _measure(atoms), "--output", output]
     yield ["optimize", "--kind", "classical", "--p", "0.3"]
     yield ["optimize", "--kind", "classical", "--p", "0.3", "--relax-order", "3"]
+    yield ["optimize", "--kind", "classical", "--p", "0.3", "--relax-order", "1"]
+    yield ["optimize", "--kind", "classical", "--p", "0.3", "--grid", "0.1:0.9:0.1",
+           "--include", "0.5"]
     yield ["optimize", "--kind", "boolean", "--p", "0.9"]
+    yield ["optimize", "--kind", "boolean", "--p", "0.3"]
     yield ["optimize", "--kind", "FREE", "--p", "0.3", "--seed", "7", "--restarts", "2"]
     yield ["optimize", "--kind", "bogus", "--p", "0.3"]
     yield ["certify", "--p", "0.3", "--mode", "exact"]
     yield ["certify", "--p", "0.45", "--mode", "grid", "--grid", "-3:3:0.01"]
     yield ["certify", "--p", "0.5"]
+    yield ["certify", "--p", "0.3", "--mode", "exact", "--grid", "1:2:0.5"]
     yield ["convolve", "--kind", "free", "--x", '{"atoms": [["0", "0.5"], ["1", "0.5"]]}',
            "--y", '{"atoms": [["-1", "0.5"], ["0", "0.5"]]}', "--order", "6"]
     yield ["convolve", "--kind", "Boolean", "--x", EXACT, "--y", EXACT]
     yield ["convolve", "--kind", "bogus", "--x", EXACT, "--y", EXACT]
     yield ["symmetry", "--p", "0.3", "--kind", "classical", "--measure", EXACT]
     yield ["symmetry", "--p", "0.3", "--kind", "free", "--measure", _measure(LAWS["two_atom"])]
+    yield ["symmetry", "--p", "0.3", "--kind", "free", "--measure", "@deep.json"]
+    yield ["convolve", "--kind", "free", "--x", DEEP, "--y", EXACT]
+    yield ["simulate", "--p", "0.3", "--n", "40", "--reps", "3", "--seed", "5", "--dims", "x,y"]
+    yield ["simulate", "--experiment", "proof-identity", "--p", "0.7", "--n", "5", "--order", "99",
+           "--dims", "20,41", "--reps", "2", "--seed", "5"]
     yield ["--help"]
 
 
+def _shown(arg):
+    return arg if len(arg) <= 80 else f"<{len(arg)} chars: {arg[:10]}...>"
+
+
 def main_snapshot():
-    for argv in commands():
-        buf = io.StringIO()
-        with contextlib.redirect_stdout(buf):
-            code = main(argv)
-        print(f"$ symvar {' '.join(argv)}\nexit {code}\n{buf.getvalue()}")
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as scratch:
+        os.chdir(scratch)
+        try:
+            with open("deep.json", "w") as fh:
+                fh.write(DEEP)
+            for argv in commands():
+                buf = io.StringIO()
+                try:
+                    with contextlib.redirect_stdout(buf):
+                        code = main(argv)
+                except Exception as exc:  # a traceback from the command line
+                    code = f"raised {type(exc).__name__}: {exc}"
+                print(f"$ symvar {' '.join(map(_shown, argv))}\nexit {code}\n{buf.getvalue()}")
+        finally:
+            os.chdir(cwd)
     for name, atoms in LAWS.items():
         law = DiscreteMeasure.from_atoms(atoms, mode="float")
         for n, p, seed in ((40, 0.3, 1), (41, 0.7, 2), (300, 0.5, 3)):

@@ -79,8 +79,7 @@ def _cmd_convolve(args):
         _num_str(v) if mx.mode == "exact" and my.mode == "exact" else float(v)
         for v in ms.values
     ]
-    _emit(args, json.dumps({"kind": kind.value, "order": args.order, "moments": vals}))
-    return 0
+    return json.dumps({"kind": kind.value, "order": args.order, "moments": vals})
 
 
 def _cmd_symmetry(args):
@@ -97,33 +96,40 @@ def _cmd_symmetry(args):
     out = {"kind": kind.value, "order": args.order, "residual": residual}
     if mu.mode == "exact":
         out.update({"residual_exact": _num_str(res)})
-    _emit(args, json.dumps(out))
-    return 0
+    return json.dumps(out)
+
+
+# For each subcommand with modes: the option that picks the mode, and the mode
+# that reads each option no other mode reads. Given in another mode, such an
+# option is refused, not ignored; its default is filled in by the command.
+_MODE_OPTIONS = {
+    "certify": ("mode", {"grid": "grid"}),
+    "optimize": ("kind", {"grid": "classical", "include": "classical", "relax_order": "classical",
+                          "seed": "free", "restarts": "free", "atoms": "free"}),
+    "simulate": ("experiment", {"n": "moments", "order": "moments", "dims": "proof-identity"}),
+}
+
+
+def _refuse_unread(args, mode):
+    picker, readers = _MODE_OPTIONS[args.subcommand]
+    unread = [f"--{name.replace('_', '-')}" for name, reader in readers.items()
+              if reader != mode and getattr(args, name) is not None]
+    if unread:
+        raise SymvarError(f"{args.subcommand} --{picker} {mode} reads no {', '.join(unread)}")
 
 
 def _cmd_certify(args):
     p = _parse_rational(args.p)
+    check_p(float(p) if args.mode == "grid" else p)  # p's errors come before the options'
+    _refuse_unread(args, args.mode)
     if args.mode == "exact":
         report = verify_inequality_exact(p)
     else:
-        grid = GridSpec(*_parse_grid(args.grid), must_include=()).points()
-        report = verify_inequality_grid(float(p), grid)
+        grid = _parse_grid("-5:5:0.001" if args.grid is None else args.grid)
+        report = verify_inequality_grid(float(p), GridSpec(*grid, must_include=()).points())
     obj = json.loads(report.to_json())
     obj["p_exact"] = f"{p.numerator}/{p.denominator}"
-    _emit(args, json.dumps(obj))
-    return 0
-
-
-# The kind that reads each option of optimize; given to another kind, the
-# option is refused, not ignored.
-_OPTION_KIND = {
-    "grid": IndependenceKind.CLASSICAL,
-    "include": IndependenceKind.CLASSICAL,
-    "relax_order": IndependenceKind.CLASSICAL,
-    "seed": IndependenceKind.FREE,
-    "restarts": IndependenceKind.FREE,
-    "atoms": IndependenceKind.FREE,
-}
+    return json.dumps(obj)
 
 
 def _cmd_optimize(args):
@@ -131,10 +137,7 @@ def _cmd_optimize(args):
     kind = IndependenceKind(args.kind)
     classical = kind is IndependenceKind.CLASSICAL
     pf = check_p(float(p), args.allow_critical or classical)  # the classical LP allows p = 1/2
-    unread = [f"--{name.replace('_', '-')}" for name, reader in _OPTION_KIND.items()
-              if reader is not kind and getattr(args, name) is not None]
-    if unread:
-        raise SymvarError(f"optimize --kind {kind.value} reads no {', '.join(unread)}")
+    _refuse_unread(args, kind.value)
     if classical:
         include = _parse_floats("-1,0" if args.include is None else args.include, ",", "include")
         grid = GridSpec(*_parse_grid("-2:1:0.25" if args.grid is None else args.grid), include)
@@ -148,12 +151,12 @@ def _cmd_optimize(args):
         knobs = {"restarts": args.restarts, "atom_budget": args.atoms, "seed": args.seed}
         cfg = SearchConfig(**{key: v for key, v in knobs.items() if v is not None})
         result = nc_min_variance(pf, kind, cfg, allow_critical=args.allow_critical)
-    _emit(args, result.to_json())
-    return 0
+    return result.to_json()
 
 
 def _cmd_simulate(args):
     p = _parse_rational(args.p)
+    _refuse_unread(args, args.experiment)
     if args.seed is None:
         raise SymvarError("--seed is required for randomized simulations")
     y_law = (
@@ -164,16 +167,15 @@ def _cmd_simulate(args):
         )
     )
     if args.experiment == "moments":
-        model = matrixlab.MatrixModel(n=args.n, p=float(p), y_law=y_law, seed=args.seed)
-        report = matrixlab.empirical_vs_predicted(model, args.order, args.reps)
+        n, order = 400 if args.n is None else args.n, 8 if args.order is None else args.order
+        model = matrixlab.MatrixModel(n=n, p=float(p), y_law=y_law, seed=args.seed)
+        report = matrixlab.empirical_vs_predicted(model, order, args.reps)
         rows, fields = report["orders"], ["n", "seed", "order", "empirical", "predicted", "abs_error"]
     else:  # proof-identity
-        report = rows = matrixlab.proof_identity_report(
-            float(p), y_law, _parse_dims(args.dims), args.reps, args.seed
-        )
+        dims = _parse_dims("200,400,800" if args.dims is None else args.dims)
+        report = rows = matrixlab.proof_identity_report(float(p), y_law, dims, args.reps, args.seed)
         fields = list(rows[0])
-    _emit(args, matrixlab.rows_csv(rows, fields) if args.output == "csv" else json.dumps(report))
-    return 0
+    return matrixlab.rows_csv(rows, fields) if args.output == "csv" else json.dumps(report)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -219,7 +221,7 @@ def build_parser():
     sp = sub.add_parser("certify", help="verify the sawtooth dual certificate")
     sp.add_argument("--p", required=True)
     sp.add_argument("--mode", choices=["exact", "grid"], default="exact")
-    sp.add_argument("--grid", default="-5:5:0.001")
+    sp.add_argument("--grid", default=None)  # grid mode: -5:5:0.001 when not given
     sp.add_argument("--outfile", default=None)
     sp.set_defaults(func=_cmd_certify)
 
@@ -240,9 +242,9 @@ def build_parser():
     sp.add_argument("--experiment", choices=["moments", "proof-identity"], default="moments")
     sp.add_argument("--p", required=True)
     sp.add_argument("--measure", default=None)
-    sp.add_argument("--n", type=int, default=400)
-    sp.add_argument("--dims", default="200,400,800")
-    sp.add_argument("--order", type=int, default=8)
+    sp.add_argument("--n", type=int, default=None)  # moments: 400 when not given
+    sp.add_argument("--dims", default=None)  # proof-identity: 200,400,800 when not given
+    sp.add_argument("--order", type=int, default=None)  # moments: 8 when not given
     sp.add_argument("--reps", type=int, default=10)
     sp.add_argument("--seed", type=int, default=None)
     sp.add_argument("--output", choices=["json", "csv"], default="json")
@@ -255,7 +257,8 @@ def build_parser():
 def _run(argv):
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        _emit(args, args.func(args))
+        return 0
     except SystemExit as exc:  # --help
         sys.stdout.flush()
         return exc.code or 0

@@ -107,6 +107,8 @@ class DiscreteMeasure:
             raise SizeError(
                 f"a number in the measure has more than {MAX_EXACT_DIGITS} digits"
             ) from None
+        except RecursionError:
+            raise SizeError("the measure JSON is nested too deeply") from None
         if not isinstance(obj, dict) or "atoms" not in obj:
             raise SymvarError('a measure is a JSON object with an "atoms" list')
         return cls.from_atoms(obj["atoms"], mode=obj.get("mode", "exact"))

@@ -18,7 +18,8 @@ symmetry at every order; at N = 13 on [-3, 2] the LP gives p for p <= 0.71
 and less above.
 
 For free independence the minimum is searched for; the theorem says it is
-p, and the search doubles as a falsifier.
+p for symmetry at every order, but at N = 13 a freely infinitely divisible y
+gives p - 0.079 at p = 0.51 (ROADMAP item 2). The search doubles as a falsifier.
 
 The search works in cumulant coordinates: by the same argument, the
 symmetry constraints k_odd(e) + k_odd(y) = 0 are linear in y's free
@@ -32,8 +33,8 @@ complex step (Squire-Trapp 1998): the map has no abs or comparison, so its
 imaginary part at z + ih e_j, h = 1e-30, is column j exact to rounding,
 and one batched call of 2k rows gives all of it. With k <= 3 atoms there
 are fewer variables than equations and SLSQP returns its start.
-Every result reports as residual the largest odd moment of e+y, computed
-from the returned measure through convolve_moments.
+Every result is reported by _result, whose residual is the largest odd
+moment of e+y, computed from the returned measure through convolve_moments.
 OptResult.evaluations counts every row of the odd-cumulant map: constraint
 and Jacobian rows and the candidates; it is 0 for an LP.
 
@@ -166,33 +167,42 @@ class OptResult:
 # LPs: classical and Boolean
 # ---------------------------------------------------------------------------
 
-def _lp(c, A, b, law, objective, pf, kind, order):
-    """min c.x over x >= 0 with A x = b by HiGHS, reported as the law y = law(x).
+def _lp(c, A, b):
+    """min c.x over x >= 0 with A x = b by HiGHS: the solution, or None when infeasible.
 
-    law maps the solution to y's (locations, weights); atoms of weight above
-    1e-12 are kept and renormalized. objective maps the returned measure to
-    the reported objective, and the residual is the largest odd moment of e+y
-    through convolve_moments. The status is "optimal" when the odd moments
-    the LP constrains, up to order (up to MAX_ORDER when order is None), are
-    within LP_GATE, else "feasible". Infeasible is a result; any other
-    failure of the solver is an error.
+    Any other failure of the solver is an error.
     """
     from scipy.optimize import linprog
 
     res = linprog(c, A_eq=A, b_eq=b, bounds=(0, None), method="highs", options=HIGHS_TOL)
     if res.status == 2:
-        return OptResult(None, None, None, "infeasible", order=order)
+        return None
     if res.status != 0:
         raise SymvarError(f"LP solver failed: {res.message}")
-    locs, weights = law(res.x)
+    return res.x
+
+
+def _result(locs, weights, pf, kind, order, gate, objective=None, evaluations=0):
+    """The report of every minimum: y on (locs, weights), infeasible when weights is None.
+
+    Atoms of weight above 1e-12 are kept and renormalized. The objective is
+    objective(y), m_2(y) when None, and the residual is the largest odd moment
+    of e+y through convolve_moments. The status is "optimal" when the odd
+    moments constrained up to order (up to MAX_ORDER when order is None) are
+    within gate, else "feasible".
+    """
+    if weights is None:
+        return OptResult(None, None, None, "infeasible", order=order)
     keep = weights > 1e-12
     w = weights[keep] / weights[keep].sum()
     mu = DiscreteMeasure.from_atoms(zip(locs[keep], w), mode="float")
-    msum = convolve_moments(moments_of(mu, MAX_ORDER), moments_of(bernoulli(pf), MAX_ORDER), kind)
+    my = moments_of(mu, MAX_ORDER)
+    msum = convolve_moments(moments_of(bernoulli(pf), MAX_ORDER), my, kind)
     # moment_relax leaves the odd moments above its order free
     gated = max(map(abs, msum.values[: order or MAX_ORDER : 2]))
-    return OptResult(float(objective(mu)), mu, float(odd_moment_residual(msum)),
-                     "optimal" if gated <= LP_GATE else "feasible", order=order)
+    return OptResult(float(my.values[1] if objective is None else objective(mu)), mu,
+                     float(odd_moment_residual(msum)), "optimal" if gated <= gate else "feasible",
+                     int(evaluations), order)
 
 
 def _mirror_rows(g, pf):
@@ -263,7 +273,7 @@ def classical_min_variance(p, grid: GridSpec, mode="exact_law", relax_order=None
     if not (np.isfinite(A.data).all() and np.isfinite(c).all()):
         raise SizeError("non-finite LP data")
     order = None if mode == "exact_law" else 2 * relax_order + 1
-    return _lp(c, A, b, lambda x: (g, x), variance, pf, IndependenceKind.CLASSICAL, order)
+    return _result(g, _lp(c, A, b), pf, IndependenceKind.CLASSICAL, order, LP_GATE, variance)
 
 
 def _boolean_lp(pf, order):
@@ -281,16 +291,14 @@ def _boolean_lp(pf, order):
     for _ in range(order - 3):
         cheb.append(2.0 * x * cheb[-1] - cheb[-2])
     rows = np.array(cheb[1::2])
-
-    def law(rho):
-        on = rho > 0
-        arrow = np.diag(np.r_[-pf, t[on]])
-        arrow[0, 1:] = arrow[1:, 0] = np.sqrt(rho[on])
-        atoms, vectors = np.linalg.eigh(arrow)
-        return atoms, vectors[0] ** 2
-
-    return _lp(np.ones(len(t)), rows[:, :-1], pf * (1.0 - pf) * rows[:, -1], law,
-               lambda mu: moments_of(mu, 2).values[1], pf, IndependenceKind.BOOLEAN, order)
+    rho = _lp(np.ones(len(t)), rows[:, :-1], pf * (1.0 - pf) * rows[:, -1])
+    if rho is None:
+        return _result(None, None, pf, IndependenceKind.BOOLEAN, order, LP_GATE)
+    on = rho > 0
+    arrow = np.diag(np.r_[-pf, t[on]])
+    arrow[0, 1:] = arrow[1:, 0] = np.sqrt(rho[on])
+    atoms, vectors = np.linalg.eigh(arrow)
+    return _result(atoms, vectors[0] ** 2, pf, IndependenceKind.BOOLEAN, order, LP_GATE)
 
 
 # ---------------------------------------------------------------------------
@@ -385,13 +393,4 @@ def nc_min_variance(p, kind, cfg: SearchConfig = SearchConfig(), allow_critical=
     feasible = res < 1e-10
     best = np.lexsort((res, m2s, ~feasible))[0] if feasible.any() else np.lexsort((m2s, res))[0]
 
-    locs, weights = np.split(zs[best], 2)
-    keep = weights > 1e-12
-    mu = DiscreteMeasure.from_atoms(
-        list(zip(locs[keep], weights[keep] / weights[keep].sum())), mode="float"
-    )
-    my = moments_of(mu, MAX_ORDER)
-    msum = convolve_moments(moments_of(bernoulli(pf), MAX_ORDER), my, kind)
-    residual = float(odd_moment_residual(msum))
-    status = "optimal" if residual < 1e-6 else "feasible"
-    return OptResult(my.values[1], mu, residual, status, int(evaluations), MAX_ORDER)
+    return _result(*np.split(zs[best], 2), pf, kind, MAX_ORDER, 1e-6, evaluations=evaluations)

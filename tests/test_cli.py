@@ -11,7 +11,8 @@ from pathlib import Path
 import pytest
 
 import symvar
-from symvar import cli
+from symvar import cli, matrixlab
+from symvar.certificate import verify_inequality_grid
 from symvar.matrixlab import MAX_SIM_DIM
 from symvar.optimizer import MAX_RESTARTS, GridSpec, SearchConfig, classical_min_variance
 
@@ -146,6 +147,48 @@ def test_optimize_checks_p_before_refusing_options(capsys, argv, want):
     obj = json.loads(capsys.readouterr().out)
     assert code == want
     assert "reads no" not in obj["error"]
+
+
+@pytest.mark.parametrize(
+    "argv,error",
+    [
+        (["certify", "--p", "0.3", "--mode", "exact", "--grid", "1:2:0.5"],
+         "certify --mode exact reads no --grid"),
+        (["certify", "--p", "0.3", "--grid", "1:2:0.5"], "certify --mode exact reads no --grid"),
+        (["simulate", "--p", "0.3", "--seed", "1", "--dims", "x,y"],
+         "simulate --experiment moments reads no --dims"),
+        (["simulate", "--experiment", "proof-identity", "--p", "0.3", "--seed", "1", "--n", "5",
+          "--order", "99"], "simulate --experiment proof-identity reads no --n, --order"),
+    ],
+    ids=["certify-exact", "certify-default-mode", "simulate-moments", "simulate-proof-identity"],
+)
+def test_every_mode_refuses_options_it_does_not_read(capsys, argv, error):
+    # the rule optimize applies to its kinds holds for certify's modes and
+    # simulate's experiments: these were accepted and ignored, exit 0
+    code, out = run(capsys, *argv)
+    assert code == 1
+    assert json.loads(out)["error"] == error
+
+
+def test_certify_checks_p_before_refusing_options(capsys):
+    code, out = run(capsys, "certify", "--p", "0.5", "--grid", "1:2:0.5")
+    assert code == 2
+    assert "reads no" not in json.loads(out)["error"]
+
+
+def test_certify_and_simulate_fill_in_their_defaults(capsys, monkeypatch):
+    seen = []
+    monkeypatch.setattr(cli, "verify_inequality_grid", lambda p, grid: seen.append(grid)
+                        or verify_inequality_grid(p, [0.0]))
+    monkeypatch.setattr(matrixlab, "MatrixModel", lambda **kwargs: kwargs)
+    monkeypatch.setattr(matrixlab, "empirical_vs_predicted", lambda model, order, reps:
+                        seen.append((model["n"], order)) or {"orders": []})
+    monkeypatch.setattr(matrixlab, "proof_identity_report", lambda p, law, dims, reps, seed:
+                        seen.append(dims) or [{"n": 2}])
+    assert main(["certify", "--p", "0.3", "--mode", "grid"]) == 0
+    assert main(["simulate", "--p", "0.3", "--seed", "1"]) == 0
+    assert main(["simulate", "--experiment", "proof-identity", "--p", "0.3", "--seed", "1"]) == 0
+    assert seen == [GridSpec(-5.0, 5.0, 0.001, ()).points(), (400, 8), [200, 400, 800]]
 
 
 def test_optimize_classical_fills_in_grid_and_include(capsys):
@@ -447,8 +490,9 @@ def test_readme_cli_examples(capsys):
     ],
 )
 def test_simulate_csv_holds_the_json_rows(capsys, experiment, header):
-    argv = ["simulate", "--experiment", experiment, "--p", "0.3", "--n", "30", "--dims", "20,30",
-            "--order", "3", "--reps", "2", "--seed", "5"]
+    sizes = ["--n", "30", "--order", "3"] if experiment == "moments" else ["--dims", "20,30"]
+    argv = ["simulate", "--experiment", experiment, "--p", "0.3", *sizes, "--reps", "2",
+            "--seed", "5"]
     code, out = run(capsys, *argv)
     obj = json.loads(out)
     rows = obj["orders"] if experiment == "moments" else obj
@@ -461,8 +505,9 @@ def test_simulate_csv_holds_the_json_rows(capsys, experiment, header):
 
 @pytest.mark.parametrize("experiment", ["moments", "proof-identity"])
 def test_csv_on_stdout_and_in_outfile_are_the_same_bytes(tmp_path, capsys, experiment):
-    argv = ["simulate", "--experiment", experiment, "--p", "0.3", "--n", "30", "--dims", "20",
-            "--order", "3", "--reps", "2", "--seed", "5", "--output", "csv"]
+    sizes = ["--n", "30", "--order", "3"] if experiment == "moments" else ["--dims", "20"]
+    argv = ["simulate", "--experiment", experiment, "--p", "0.3", *sizes, "--reps", "2",
+            "--seed", "5", "--output", "csv"]
     code, out = run(capsys, *argv)
     target = tmp_path / "report.csv"
     assert code == 0 == main([*argv, "--outfile", str(target)])
@@ -539,6 +584,23 @@ def test_huge_exact_inputs_exit_1_at_once(capsys, argv):
     assert time.perf_counter() - start < 1.0
     assert code == 1
     assert "digits" in json.loads(out)["error"]
+
+
+_DEEP = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize("command", ["symmetry", "convolve"])
+def test_deeply_nested_measure_exits_1(tmp_path, capsys, command):
+    # json.loads runs out of recursion depth; the command still prints a JSON error
+    path = tmp_path / "deep.json"
+    path.write_text(_DEEP)
+    argv = {  # from a file, and inline
+        "symmetry": ["symmetry", "--p", "0.3", "--kind", "free", "--measure", f"@{path}"],
+        "convolve": ["convolve", "--kind", "free", "--x", _DEEP, "--y", FLOAT_NEG_BERN],
+    }[command]
+    code, out = run(capsys, *argv)
+    assert code == 1
+    assert json.loads(out)["error"] == "the measure JSON is nested too deeply"
 
 
 @pytest.mark.parametrize("measure", ["{}", '{"mode": "exact"}', "[]"])

@@ -133,6 +133,13 @@ def test_from_json_rejects_non_object():
             DiscreteMeasure.from_json(text)
 
 
+def test_from_json_refuses_deep_nesting():
+    # json.loads raises RecursionError past the interpreter's recursion limit
+    for text in ("[" * 100_000 + "]" * 100_000, '{"atoms": %s}' % ("[" * 5000 + "]" * 5000)):
+        with pytest.raises(SizeError, match="nested too deeply"):
+            DiscreteMeasure.from_json(text)
+
+
 def test_exact_digit_bound():
     big = 10**MAX_EXACT_DIGITS - 1  # the most digits allowed
     for x in (big, F(-1, big), f"1e{MAX_EXACT_DIGITS - 1}", f"1e-{MAX_EXACT_DIGITS - 1}",

@@ -23,6 +23,7 @@ from symvar.optimizer import (
     MAX_RELAX_ORDER,
     MAX_RESTARTS,
     GridSpec,
+    OptResult,
     SearchConfig,
     classical_min_variance,
     nc_min_variance,
@@ -335,21 +336,25 @@ def test_arrowhead_recovers_y_from_rho(p, monkeypatch):
     # rho = pq delta_{-q} is the F-transform measure of y = -e; the law read
     # off the arrowhead matrix is -e to 1e-12
     q = 1 - p
-    laws = []
+    t = np.array(GridSpec(-3.0, 2.0, 0.0025, must_include=(-q,)).points())
+    rho = np.where(t == -q, p * q, 0.0)
+    monkeypatch.setattr(optimizer, "_lp", lambda c, A, b: rho)
+    atoms = optimizer._boolean_lp(p, MAX_ORDER).measure.atoms
+    assert [a for a, _ in atoms] == pytest.approx([-1.0, 0.0], abs=1e-12)
+    assert [w for _, w in atoms] == pytest.approx([p, q], abs=1e-12)
 
-    def capture(c, A, b, law, *args):
-        x = np.zeros(len(c))
-        t = np.array(GridSpec(-3.0, 2.0, 0.0025, must_include=(-q,)).points())
-        x[t == -q] = p * q
-        laws.append(law(x))
-        return lp(c, A, b, law, *args)
 
-    lp = optimizer._lp
-    monkeypatch.setattr(optimizer, "_lp", capture)
-    optimizer._boolean_lp(p, MAX_ORDER)
-    (atoms, weights), = laws
-    assert atoms == pytest.approx([-1.0, 0.0], abs=1e-12)
-    assert weights == pytest.approx([p, q], abs=1e-12)
+def test_infeasible_lp_is_reported_with_its_order(monkeypatch):
+    # _lp returns None for an infeasible LP; each LP reports it as a result
+    # that names the order it constrained, with nothing else
+    monkeypatch.setattr(optimizer, "_lp", lambda c, A, b: None)
+    results = {
+        13: optimizer._boolean_lp(0.3, MAX_ORDER),
+        None: classical_min_variance(0.3, GRID),
+        5: classical_min_variance(0.3, GRID, mode="moment_relax", relax_order=2),
+    }
+    for order, result in results.items():
+        assert result == OptResult(None, None, None, "infeasible", 0, order)
 
 
 def test_search_does_not_revive_dropped_atoms():
