@@ -46,6 +46,15 @@ def commands():
                    "--seed", "5", "--measure", _measure(atoms), "--output", output]
             yield ["simulate", "--experiment", "proof-identity", "--p", "0.7", "--dims", "20,41",
                    "--reps", "2", "--seed", "5", "--measure", _measure(atoms), "--output", output]
+    for output in ("json", "csv"):  # the default law of simulate
+        for p in ("0.3", "0.7", "1/3"):
+            yield ["simulate", "--p", p, "--n", "40", "--order", "4", "--reps", "3", "--seed", "5",
+                   "--output", output]
+            yield ["simulate", "--experiment", "proof-identity", "--p", p, "--dims", "20,41",
+                   "--reps", "2", "--seed", "5", "--output", output]
+    yield ["simulate", "--experiment", "proof-identity", "--p", "0.3", "--dims", "20",
+           "--reps", "0", "--seed", "5"]
+    yield ["simulate", "--p", "0.3", "--seed", "1", "--reps", "4611686018427387904"]
     yield ["optimize", "--kind", "classical", "--p", "0.3"]
     yield ["optimize", "--kind", "classical", "--p", "0.3", "--relax-order", "3"]
     yield ["optimize", "--kind", "classical", "--p", "0.3", "--relax-order", "1"]
@@ -57,6 +66,8 @@ def commands():
     yield ["optimize", "--kind", "bogus", "--p", "0.3"]
     yield ["certify", "--p", "0.3", "--mode", "exact"]
     yield ["certify", "--p", "0.45", "--mode", "grid", "--grid", "-3:3:0.01"]
+    yield ["certify", "--p", "0.499999", "--mode", "grid"]
+    yield ["certify", "--p", "0.3", "--mode", "grid", "--grid", "-10000:10000:1"]
     yield ["certify", "--p", "0.5"]
     yield ["certify", "--p", "0.3", "--mode", "exact", "--grid", "1:2:0.5"]
     yield ["convolve", "--kind", "free", "--x", '{"atoms": [["0", "0.5"], ["1", "0.5"]]}',

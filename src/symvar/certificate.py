@@ -75,28 +75,35 @@ def sawtooth(t):
 
 def psi(t, p):
     """The dual function h(t)/(q-p) - t; undefined at p = 1/2."""
+    return _psi(t, _psi_terms(p)[2])
+
+
+def _psi_terms(p):
+    """(p, q, q - p) for a checked p: psi's callers compute q - p once, not per point."""
     p = check_p(p)
-    return _psi(t, 1 - p - p)
+    q = 1 - p
+    return p, q, q - p
 
 
 def _psi(t, q_minus_p):
-    """psi for a p already checked; its callers compute q - p once, not per point."""
+    """psi for a p already checked, given q - p."""
     return sawtooth(t) / q_minus_p - t
 
 
 def verify_identity(p, grid) -> bool:
     """Check q*psi(t) + p*psi(1+t) == h(t) - t - p on the grid.
 
-    Exact comparison at rational points, 1e-12 tolerance at floats.
+    Exact comparison at rational points. At floats the tolerance is
+    1e-12 * max(1, |t|, 1/|q - p|): both sides hold terms of size |t| and
+    |h(t)/(q - p)|, and their rounding grows with them.
     """
-    p = check_p(p)
-    q = 1 - p
-    d = q - p
+    p, q, d = _psi_terms(p)
+    scale = max(1.0, 1.0 / abs(float(d)))
     for t in grid:
         lhs = q * _psi(t, d) + p * _psi(1 + t, d)
         rhs = sawtooth(t) - t - p
         if isinstance(lhs, float) or isinstance(rhs, float):
-            if abs(lhs - rhs) > 1e-12:
+            if abs(lhs - rhs) > 1e-12 * max(scale, abs(t)):
                 return False
         elif lhs != rhs:
             return False
@@ -113,7 +120,7 @@ def verify_inequality_exact(p) -> CertificateReport:
     convex quadratic per piece: its minimum over the piece is checked at the
     endpoints and the interior critical point, all in rational arithmetic.
     """
-    p = check_p(p)
+    p, q, d = _psi_terms(p)
     candidates = []
     for k in range(-2, 2):
         lo = max(Fraction(-2), k - HALF)
@@ -128,8 +135,6 @@ def verify_inequality_exact(p) -> CertificateReport:
     # outside [-2, 1] the slack is at most 1/2 - 2 = -3/2
     max_violation = max(max(v for _, v in candidates), -Fraction(3, 2))
     witnesses = sorted({t for t, v in candidates if v == max_violation})
-    q = 1 - p
-    d = q - p
     wit = tuple((t, q * _psi(t, d) + p * _psi(1 + t, d), t * t - p) for t in witnesses)
     identity_ok = verify_identity(
         p, [Fraction(i, 7) - 3 for i in range(43)]
@@ -145,9 +150,7 @@ def verify_inequality_exact(p) -> CertificateReport:
 
 def verify_inequality_grid(p, grid) -> CertificateReport:
     """Sampled version of the dual inequality; max slack over the grid."""
-    p = check_p(p)
-    q = 1 - p
-    d = q - p
+    p, q, d = _psi_terms(p)
     rows = []
     for t in grid:
         lhs = q * _psi(t, d) + p * _psi(1 + t, d)
@@ -171,9 +174,7 @@ def certificate_lower_bound(mu: DiscreteMeasure, p):
     exactly when all atoms sit at the tangency points, so phi(y^2) >= p
     whenever q phi(psi(y)) + p phi(psi(1+y)) = 0.
     """
-    p = check_p(float(p) if mu.mode == "float" else Fraction(p))
-    q = 1 - p
-    d = q - p
+    p, q, d = _psi_terms(float(p) if mu.mode == "float" else Fraction(p))
     total = 0
     for t, w in mu.atoms:
         total += w * (t * t - p - q * _psi(t, d) - p * _psi(1 + t, d))

@@ -17,7 +17,8 @@ from . import matrixlab
 from .certificate import verify_inequality_exact, verify_inequality_grid
 from .cumulants import IndependenceKind, convolve_moments, odd_moment_residual
 from .errors import CriticalCaseError, SizeError, SymvarError
-from .measures import DiscreteMeasure, _num_str, bernoulli, check_p, exact_number, moments_of
+from .measures import (DiscreteMeasure, _num_str, bernoulli, check_p, exact_number, moments_of,
+                       negate)
 from .optimizer import GridSpec, SearchConfig, classical_min_variance, nc_min_variance
 
 
@@ -159,13 +160,7 @@ def _cmd_simulate(args):
     _refuse_unread(args, args.experiment)
     if args.seed is None:
         raise SymvarError("--seed is required for randomized simulations")
-    y_law = (
-        _load_measure(args.measure)
-        if args.measure
-        else DiscreteMeasure.from_atoms(
-            [(-1.0, float(p)), (0.0, 1.0 - float(p))], mode="float"
-        )
-    )
+    y_law = _load_measure(args.measure) if args.measure else negate(bernoulli(float(p)))
     if args.experiment == "moments":
         n, order = 400 if args.n is None else args.n, 8 if args.order is None else args.order
         model = matrixlab.MatrixModel(n=n, p=float(p), y_law=y_law, seed=args.seed)

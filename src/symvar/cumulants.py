@@ -82,35 +82,31 @@ class IndependenceKind(Enum):
         raise SizeError(f"unknown independence kind: {name!r}")
 
 
+class _Prefix:
+    """Base of the sequence prefixes: values holds 1..MAX_ORDER terms, order counts them."""
+
+    def __post_init__(self):
+        if not 1 <= len(self.values) <= MAX_ORDER:
+            raise OrderError(f"order must be in 1..{MAX_ORDER}, got {len(self.values)}")
+
+    @property
+    def order(self):
+        return len(self.values)
+
+
 @dataclass(frozen=True)
-class MomentSequence:
+class MomentSequence(_Prefix):
     """The finite moment prefix (m_1, ..., m_N); m_0 is implicitly 1."""
 
     values: tuple
 
-    def __post_init__(self):
-        if not 1 <= len(self.values) <= MAX_ORDER:
-            raise OrderError(f"order must be in 1..{MAX_ORDER}, got {len(self.values)}")
-
-    @property
-    def order(self):
-        return len(self.values)
-
 
 @dataclass(frozen=True)
-class CumulantSequence:
+class CumulantSequence(_Prefix):
     """(k_1, ..., k_N) for one independence kind."""
 
     kind: IndependenceKind
     values: tuple
-
-    def __post_init__(self):
-        if not 1 <= len(self.values) <= MAX_ORDER:
-            raise OrderError(f"order must be in 1..{MAX_ORDER}, got {len(self.values)}")
-
-    @property
-    def order(self):
-        return len(self.values)
 
 
 def _transform(values, kind, to_moments):

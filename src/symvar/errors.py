@@ -8,8 +8,10 @@ class SymvarError(ValueError):
 class CriticalCaseError(SymvarError):
     """Raised whenever p = 1/2 reaches a computation that divides by 1 - 2p.
 
-    The minimum symmetrizer variance at p = 1/2 is an open problem; every
-    entry point rejects it explicitly rather than producing garbage.
+    Every entry point rejects p = 1/2 explicitly rather than producing
+    garbage. Only the Boolean minimum is open there: classically and freely
+    y = -1/2 makes e + y symmetric, and m_1(y) = -p forces m_2(y) >= 1/4, so
+    those minima are 1/4 < p.
     """
 
     def __init__(self, message="critical case p=1/2 is open"):

@@ -54,7 +54,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .certificate import _psi
+from .certificate import _psi, _psi_terms
 from .cumulants import MAX_ORDER, IndependenceKind, MomentSequence, convolve_moments
 from .errors import SizeError
 from .measures import DiscreteMeasure, bernoulli, check_p, moments_of
@@ -64,6 +64,10 @@ from .measures import DiscreteMeasure, bernoulli, check_p, moments_of
 # keeps dimension n; one draw at n = 2500, p = 1/2, weights (1/2, 1/4, 1/4)
 # peaks at about 0.25 GB above the interpreter's own memory (tracemalloc).
 MAX_SIM_DIM = 2500
+# Most replicas per dimension, checked before any seed is spawned: one at
+# n = 2500 with that law takes 6-7 s at p = 1/2 and about 3 s at p = 0.3
+# (2-vCPU VM), so a job stays in minutes.
+MAX_REPS = 100
 
 
 def _check_dim(n):
@@ -212,6 +216,17 @@ def _realize(model: MatrixModel, rotate=True):
     return draw(atoms, counts, min(r, n - r), sigma, np.random.default_rng(model.seed)) + shift
 
 
+def _replicas(n, p, y_law, entropy, reps):
+    """reps models of dimension n, seeded by SeedSequence(entropy)'s children; sizes first."""
+    _check_dim(n)
+    if reps < 1:
+        raise SizeError("reps must be >= 1")
+    if reps > MAX_REPS:
+        raise SizeError(f"reps must be at most {MAX_REPS}, got {reps}")
+    children = np.random.SeedSequence(entropy).spawn(reps)
+    return [MatrixModel(n, p, y_law, int(c.generate_state(1)[0])) for c in children]
+
+
 def simulate_free_sum(model: MatrixModel, order) -> MomentSequence:
     """Empirical moments tr((E+Y)^k)/n for k = 1..order, Haar-rotated model.
 
@@ -233,9 +248,7 @@ def test_proof_identity(model: MatrixModel, grid_free=True):
     grid_free=True uses the Haar-rotated (asymptotically free) model; False
     uses the commuting block model, where the expansion holds exactly.
     """
-    p = model.p
-    q = 1.0 - p
-    d = q - check_p(p)  # psi divides by q - p = 1 - 2p
+    p, q, d = _psi_terms(model.p)
     lam = _realize(model, rotate=grid_free)
     lhs = float(np.mean([_psi(t, d) for t in lam]))
     dy = _eigenvalue_vector(model.y_law, model.n)
@@ -252,26 +265,13 @@ def proof_identity_report(p, y_law, dims, seeds_per_dim, master_seed):
     no numeric target is asserted anywhere, the table IS the result. A
     residual beyond the float range is a SizeError.
     """
-    if seeds_per_dim < 1:
-        raise SizeError("seeds_per_dim must be >= 1")
     _check_seed(master_seed)
-    for n in dims:
-        _check_dim(n)
-    rows = []
+    # every dimension is checked before the first draw
+    models = [m for n in dims for m in _replicas(n, p, y_law, [master_seed, n], seeds_per_dim)]
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite residuals are refused below
-        for n in dims:
-            ss = np.random.SeedSequence([master_seed, n])
-            for child in ss.spawn(seeds_per_dim):
-                seed = int(child.generate_state(1)[0])
-                model = MatrixModel(n=n, p=p, y_law=y_law, seed=seed)
-                rows.append(
-                    {
-                        "n": n,
-                        "seed": seed,
-                        "rotated_residual": test_proof_identity(model, grid_free=True),
-                        "commuting_residual": test_proof_identity(model, grid_free=False),
-                    }
-                )
+        rows = [{"n": m.n, "seed": m.seed,
+                 "rotated_residual": test_proof_identity(m, grid_free=True),
+                 "commuting_residual": test_proof_identity(m, grid_free=False)} for m in models]
     if not np.isfinite([(r["rotated_residual"], r["commuting_residual"]) for r in rows]).all():
         raise SizeError("psi of the spectrum of E + Y exceeds the float range")
     return rows
@@ -284,17 +284,12 @@ def empirical_vs_predicted(model: MatrixModel, order, reps):
     the standard error is undefined: it is reported as None and nothing is
     flagged. A figure beyond the float range is a SizeError.
     """
-    if reps < 1:
-        raise SizeError("reps must be >= 1")
+    models = _replicas(model.n, model.p, model.y_law, model.seed, reps)
     me = moments_of(bernoulli(model.p), order)
     my = moments_of(model.y_law, order)
     predicted = convolve_moments(me, my, IndependenceKind.FREE).values
-    ss = np.random.SeedSequence(model.seed)
-    samples = np.empty((reps, order))
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite figures are refused below
-        for i, child in enumerate(ss.spawn(reps)):
-            m = MatrixModel(model.n, model.p, model.y_law, int(child.generate_state(1)[0]))
-            samples[i] = simulate_free_sum(m, order).values
+        samples = np.array([simulate_free_sum(m, order).values for m in models])
         # each order scaled exactly by a power of two near its largest |value|:
         # the spread of finite moments near 1e199 is finite, its square is not
         scale = np.ldexp(1.0, np.frexp(np.abs(samples).max(axis=0))[1])

@@ -71,6 +71,7 @@ LP_GATE = 1e-9
 # job's time in minutes: about 1 s per start at MAX_ATOMS (2-vCPU VM)
 MAX_ATOMS = 64
 MAX_RESTARTS = 128
+BOX = (-3.0, 2.0)  # y's atoms: the Boolean LP's grid, the free search's bounds and starts
 
 
 @dataclass(frozen=True)
@@ -279,14 +280,14 @@ def classical_min_variance(p, grid: GridSpec, mode="exact_law", relax_order=None
 def _boolean_lp(pf, order):
     """min m_2(y) over y with e+y Boolean-symmetric up to the odd order `order`.
 
-    The LP of the module docstring: rho >= 0 on 2,001 points of [-3, 2] and
+    The LP of the module docstring: rho >= 0 on 2,001 points of BOX = [-3, 2] and
     at -q, minimizing rho(R), with one row per odd Chebyshev polynomial
     T_1, T_3, .., T_{order-2} in t/3 (monomial rows are badly conditioned).
     y's atoms are the arrowhead matrix's eigenvalues, and its weights the
     squared first entries of the eigenvectors.
     """
-    t = np.array(GridSpec(-3.0, 2.0, 0.0025, must_include=(pf - 1.0,)).points())
-    x = np.append(t, pf - 1.0) / 3.0  # the last column is -q, for the right-hand side
+    t = np.array(GridSpec(*BOX, 0.0025, must_include=(pf - 1.0,)).points())
+    x = np.append(t, pf - 1.0) / -BOX[0]  # the last column is -q, for the right-hand side
     cheb = [np.ones_like(x), x]  # T_0, T_1, .. by the three-term recurrence
     for _ in range(order - 3):
         cheb.append(2.0 * x * cheb[-1] - cheb[-2])
@@ -370,15 +371,15 @@ def nc_min_variance(p, kind, cfg: SearchConfig = SearchConfig(), allow_critical=
         # complex step: exact to rounding with h = 1e-30, all 2k rows in one call
         "jac": lambda z: gap(z + 1e-30j * np.eye(2 * k)).imag.T * 1e30,
     }
-    bounds = [(-3.0, 2.0)] * k + [(0.0, 1.0)] * k
+    bounds = [BOX] * k + [(0.0, 1.0)] * k
 
     rng = np.random.default_rng(cfg.seed)
     starts = np.zeros((cfg.restarts + 1, 2 * k))
     # seeded equality candidate: atoms at -1 and 0 with weights p, q
-    starts[0, :k] = np.r_[-1.0, 0.0, rng.uniform(-3, 2, max(k - 2, 0))][:k]
+    starts[0, :k] = np.r_[-1.0, 0.0, rng.uniform(*BOX, max(k - 2, 0))][:k]
     starts[0, k:k + 2] = (pf, 1.0 - pf)[:k]
     for z in starts[1:]:
-        z[:k] = rng.uniform(-3, 2, k)
+        z[:k] = rng.uniform(*BOX, k)
         z[k:] = rng.dirichlet(np.ones(k))
     # with k <= 3 there are fewer variables than equations: SLSQP returns the start
     solved = [minimize(m2, z, jac=True, method="SLSQP", bounds=bounds, constraints=constraint,

@@ -177,6 +177,22 @@ def test_identity_check_fails_on_a_perturbed_sawtooth(monkeypatch):
     assert verify_inequality_grid(0.3, float_grid).identity_ok is False
 
 
+@pytest.mark.parametrize("p", [0.3, 0.49999999, 0.50000001, 0.7])
+@pytest.mark.parametrize("reach", [1e4, 1e300])
+def test_float_identity_tolerance_scales_with_its_terms(p, reach):
+    grid = [-reach, -reach / 3, -1.0, -0.25, 0.0, 0.5, reach / 7, reach]
+    assert verify_identity(p, grid)
+
+
+def test_psi_terms_match_the_callers_arithmetic():
+    assert certificate._psi_terms(F(3, 10)) == (F(3, 10), F(7, 10), F(2, 5))
+    p, q, d = certificate._psi_terms(0.3)
+    assert (p, q, d) == (0.3, 1 - 0.3, (1 - 0.3) - 0.3)
+    assert psi(0.2, 0.3) == certificate._psi(0.2, d)
+    with pytest.raises(CriticalCaseError):
+        certificate._psi_terms(0.5)
+
+
 def test_inequality_exact_rejects_critical_case():
     with pytest.raises(CriticalCaseError):
         verify_inequality_exact(F(1, 2))

@@ -13,7 +13,7 @@ import pytest
 import symvar
 from symvar import cli, matrixlab
 from symvar.certificate import verify_inequality_grid
-from symvar.matrixlab import MAX_SIM_DIM
+from symvar.matrixlab import MAX_REPS, MAX_SIM_DIM
 from symvar.optimizer import MAX_RESTARTS, GridSpec, SearchConfig, classical_min_variance
 
 from symvar.cli import main
@@ -44,6 +44,14 @@ def test_certify_grid(capsys):
     obj = json.loads(out)
     assert obj["mode"] == "grid"
     assert float(obj["max_slack_violation"]) <= 1e-12
+
+
+@pytest.mark.parametrize("argv", [["--p", "0.499999"], ["--p", "0.3", "--grid", "-10000:10000:1"]])
+def test_certify_grid_identity_holds_near_half_and_far_out(capsys, argv):
+    # the identity's terms reach 1/(2|q - p|) and |t|; so does their rounding
+    code, out = run(capsys, "certify", "--mode", "grid", *argv)
+    assert code == 0
+    assert json.loads(out)["identity_ok"] is True
 
 
 def test_certify_critical_case_exit_2(capsys):
@@ -282,6 +290,18 @@ def test_simulate_proof_identity(capsys):
     assert {r["n"] for r in rows} == {40, 80}
 
 
+@pytest.mark.parametrize(
+    "experiment", [["--n", "30"], ["--experiment", "proof-identity", "--dims", "20,31"]]
+)
+@pytest.mark.parametrize("output", ["json", "csv"])
+def test_simulate_default_law_is_the_negated_bernoulli(capsys, experiment, output):
+    argv = ["simulate", "--p", "0.3", "--reps", "2", "--seed", "5", "--output", output,
+            *experiment]
+    default = run(capsys, *argv)
+    assert default == run(capsys, *argv, "--measure", FLOAT_NEG_BERN)
+    assert default[0] == 0
+
+
 def _reject_non_finite(token):
     raise ValueError(f"non-finite number {token} in output")
 
@@ -306,6 +326,8 @@ def _assert_json_error(capsys, argv):
         ["--experiment", "proof-identity", "--dims", "20", "--reps", "0", "--output", "csv"],
         ["--n", str(MAX_SIM_DIM + 1)],
         ["--n", "10000000000"],
+        ["--experiment", "proof-identity", "--dims", "2", "--reps", str(MAX_REPS + 1)],
+        ["--reps", "4611686018427387904"],  # 2**62: refused before any seed or array is made
     ],
 )
 def test_simulate_bad_sizes_exit_1(capsys, argv):

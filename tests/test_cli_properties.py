@@ -21,6 +21,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from symvar.cli import main
+from symvar.matrixlab import MAX_REPS
 from symvar.optimizer import MAX_ATOMS, MAX_RESTARTS
 
 
@@ -57,7 +58,7 @@ KIND = _mostly(st.sampled_from(["classical", "free", "boolean", "FREE"]), st.jus
 ORDER = _mostly(st.integers(1, 13), st.sampled_from([-1, 0, 14, 15]))
 RELAX_ORDER = st.one_of(st.none(), _mostly(st.integers(0, 6), st.sampled_from([-1, 7])))
 DIM = _mostly(st.integers(2, 40), st.sampled_from([-1, 0, 1, 2501]))
-REPS = _mostly(st.integers(1, 3), st.sampled_from([-1, 0]))
+REPS = _mostly(st.integers(1, 3), st.sampled_from([-1, 0, MAX_REPS + 1]))
 SIM_ORDER = _mostly(st.integers(1, 6), st.sampled_from([-1, 0, 14]))
 SEED = _mostly(st.integers(0, 2**32 - 1), st.sampled_from([None, -1]))
 ATOMS = _mostly(st.sampled_from(range(1, 7)), st.sampled_from([-1, 0, MAX_ATOMS + 1, "x"]))

@@ -247,6 +247,23 @@ def test_order_limits():
         MomentSequence((F(0),) * 14)
     with pytest.raises(OrderError):
         MomentSequence(())
+    with pytest.raises(OrderError):
+        CumulantSequence(K.FREE, (F(0),) * 14)
+    with pytest.raises(OrderError):
+        CumulantSequence(K.FREE, ())
+
+
+def test_sequences_build_positionally_compare_by_class_and_hash():
+    values = (F(1, 2), F(1, 3))
+    m, k = MomentSequence(values), CumulantSequence(K.FREE, values)
+    assert (m.values, m.order, k.kind, k.values, k.order) == (values, 2, K.FREE, values, 2)
+    for seq, twin in ((m, MomentSequence(values)), (k, CumulantSequence(K.FREE, values))):
+        assert seq == twin and hash(seq) == hash(twin)
+    assert k != CumulantSequence(K.BOOLEAN, values)
+    assert m != k and m != MomentSequence(values[:1])
+    assert len({m, MomentSequence(values), k}) == 2
+    with pytest.raises(AttributeError):  # frozen
+        m.values = ()
 
 
 def test_kind_names_in_any_case_and_unknown_kinds_refused():

@@ -428,6 +428,45 @@ def test_proof_identity_report_rows():
         assert row["rotated_residual"] >= 0.0
 
 
+def _child_seeds(entropy, reps):
+    return [int(c.generate_state(1)[0]) for c in np.random.SeedSequence(entropy).spawn(reps)]
+
+
+def test_proof_identity_report_seeds_are_the_children_of_master_seed_and_n():
+    rows = ml.proof_identity_report(0.3, Y_LAW, dims=[20, 31], seeds_per_dim=2, master_seed=42)
+    assert [(r["n"], r["seed"]) for r in rows] == [
+        (n, s) for n in (20, 31) for s in _child_seeds([42, n], 2)
+    ]
+
+
+def test_empirical_vs_predicted_draws_from_the_children_of_the_model_seed(monkeypatch):
+    drawn, realize = [], ml._realize
+    monkeypatch.setattr(ml, "_realize", lambda m, rotate: drawn.append(m) or realize(m, rotate))
+    model = ml.MatrixModel(n=20, p=0.3, y_law=Y_LAW, seed=17)
+    report = ml.empirical_vs_predicted(model, 3, 4)
+    assert [m.seed for m in drawn] == _child_seeds(17, 4)
+    assert {(m.n, m.p, m.y_law) for m in drawn} == {(20, 0.3, Y_LAW)}
+    assert {r["seed"] for r in report["orders"]} == {17}
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: ml.proof_identity_report(0.3, Y_LAW, [200, 1], 1, 1),
+        lambda: ml.proof_identity_report(0.3, Y_LAW, [200, 20], ml.MAX_REPS + 1, 1),
+        lambda: ml.proof_identity_report(0.3, Y_LAW, [200], 2**62, 1),
+        lambda: ml.empirical_vs_predicted(ml.MatrixModel(200, 0.3, Y_LAW, 1), 4, ml.MAX_REPS + 1),
+        lambda: ml.empirical_vs_predicted(ml.MatrixModel(200, 0.3, Y_LAW, 1), 4, 2**62),
+    ],
+)
+def test_bad_sizes_are_refused_before_any_draw(monkeypatch, call):
+    calls = []
+    monkeypatch.setattr(ml, "_realize", lambda *a, **k: calls.append(a))
+    with pytest.raises(SizeError):
+        call()
+    assert calls == []
+
+
 def test_empirical_vs_predicted_report():
     model = ml.MatrixModel(n=300, p=0.3, y_law=Y_LAW, seed=11)
     report = ml.empirical_vs_predicted(model, 6, 5)
