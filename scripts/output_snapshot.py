@@ -68,6 +68,7 @@ def commands():
     yield ["certify", "--p", "0.45", "--mode", "grid", "--grid", "-3:3:0.01"]
     yield ["certify", "--p", "0.499999", "--mode", "grid"]
     yield ["certify", "--p", "0.3", "--mode", "grid", "--grid", "-10000:10000:1"]
+    yield ["certify", "--p", "0.5" + "0" * 399 + "1", "--mode", "exact"]  # float(q - p) is 0.0
     yield ["certify", "--p", "0.5"]
     yield ["certify", "--p", "0.3", "--mode", "exact", "--grid", "1:2:0.5"]
     yield ["convolve", "--kind", "free", "--x", '{"atoms": [["0", "0.5"], ["1", "0.5"]]}',

@@ -95,15 +95,15 @@ def verify_identity(p, grid) -> bool:
 
     Exact comparison at rational points. At floats the tolerance is
     1e-12 * max(1, |t|, 1/|q - p|): both sides hold terms of size |t| and
-    |h(t)/(q - p)|, and their rounding grows with them.
+    |h(t)/(q - p)|, and their rounding grows with them. Only the float branch
+    takes float(q - p), which is 0.0 for an exact p within 1e-324 of 1/2.
     """
     p, q, d = _psi_terms(p)
-    scale = max(1.0, 1.0 / abs(float(d)))
     for t in grid:
         lhs = q * _psi(t, d) + p * _psi(1 + t, d)
         rhs = sawtooth(t) - t - p
         if isinstance(lhs, float) or isinstance(rhs, float):
-            if abs(lhs - rhs) > 1e-12 * max(scale, abs(t)):
+            if abs(lhs - rhs) > 1e-12 * max(1.0, abs(t), 1.0 / abs(float(d))):
                 return False
         elif lhs != rhs:
             return False

@@ -66,7 +66,8 @@ from .measures import DiscreteMeasure, bernoulli, check_p, moments_of
 MAX_SIM_DIM = 2500
 # Most replicas per dimension, checked before any seed is spawned: one at
 # n = 2500 with that law takes 6-7 s at p = 1/2 and about 3 s at p = 0.3
-# (2-vCPU VM), so a job stays in minutes.
+# (2-vCPU VM), so one dimension's replicas take minutes. A job's total is not
+# bounded: proof-identity runs this many for each entry of --dims.
 MAX_REPS = 100
 
 

@@ -287,7 +287,7 @@ def _boolean_lp(pf, order):
     squared first entries of the eigenvectors.
     """
     t = np.array(GridSpec(*BOX, 0.0025, must_include=(pf - 1.0,)).points())
-    x = np.append(t, pf - 1.0) / -BOX[0]  # the last column is -q, for the right-hand side
+    x = np.append(t, pf - 1.0) / max(map(abs, BOX))  # into [-1, 1]; the last column, -q, is the RHS
     cheb = [np.ones_like(x), x]  # T_0, T_1, .. by the three-term recurrence
     for _ in range(order - 3):
         cheb.append(2.0 * x * cheb[-1] - cheb[-2])

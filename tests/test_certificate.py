@@ -184,6 +184,13 @@ def test_float_identity_tolerance_scales_with_its_terms(p, reach):
     assert verify_identity(p, grid)
 
 
+def test_exact_identity_takes_no_float_of_q_minus_p():
+    # q - p = -2/10**400 is 0.0 as a float; the exact path must not divide by it
+    report = verify_inequality_exact(F(1, 2) + F(1, 10**400))
+    assert report.identity_ok is True
+    assert report.max_slack_violation == 0
+
+
 def test_psi_terms_match_the_callers_arithmetic():
     assert certificate._psi_terms(F(3, 10)) == (F(3, 10), F(7, 10), F(2, 5))
     p, q, d = certificate._psi_terms(0.3)

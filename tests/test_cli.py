@@ -54,6 +54,13 @@ def test_certify_grid_identity_holds_near_half_and_far_out(capsys, argv):
     assert json.loads(out)["identity_ok"] is True
 
 
+def test_certify_exact_p_within_a_float_underflow_of_half(capsys):
+    p = "0.5" + "0" * 399 + "1"
+    code, out = run(capsys, "certify", "--p", p, "--mode", "exact")
+    assert code == 0
+    assert json.loads(out)["identity_ok"] is True
+
+
 def test_certify_critical_case_exit_2(capsys):
     code, out = run(capsys, "certify", "--p", "0.5")
     assert code == 2
