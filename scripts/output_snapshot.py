@@ -55,6 +55,8 @@ def commands():
     yield ["simulate", "--experiment", "proof-identity", "--p", "0.3", "--dims", "20",
            "--reps", "0", "--seed", "5"]
     yield ["simulate", "--p", "0.3", "--seed", "1", "--reps", "4611686018427387904"]
+    yield ["simulate", "--experiment", "proof-identity", "--p", "0.3", "--dims", "20,20",
+           "--reps", "2", "--seed", "5"]
     yield ["optimize", "--kind", "classical", "--p", "0.3"]
     yield ["optimize", "--kind", "classical", "--p", "0.3", "--relax-order", "3"]
     yield ["optimize", "--kind", "classical", "--p", "0.3", "--relax-order", "1"]
@@ -63,6 +65,7 @@ def commands():
     yield ["optimize", "--kind", "boolean", "--p", "0.9"]
     yield ["optimize", "--kind", "boolean", "--p", "0.3"]
     yield ["optimize", "--kind", "FREE", "--p", "0.3", "--seed", "7", "--restarts", "2"]
+    yield ["optimize", "--kind", "free", "--p", "1/2", "--seed", "1"]
     yield ["optimize", "--kind", "bogus", "--p", "0.3"]
     yield ["certify", "--p", "0.3", "--mode", "exact"]
     yield ["certify", "--p", "0.45", "--mode", "grid", "--grid", "-3:3:0.01"]
@@ -71,6 +74,7 @@ def commands():
     yield ["certify", "--p", "0.5" + "0" * 399 + "1", "--mode", "exact"]  # float(q - p) is 0.0
     yield ["certify", "--p", "0.5"]
     yield ["certify", "--p", "0.3", "--mode", "exact", "--grid", "1:2:0.5"]
+    yield ["certify", "--p", "1/3", "--mode", "grid", "--grid", "-1:0:0.5"]
     yield ["convolve", "--kind", "free", "--x", '{"atoms": [["0", "0.5"], ["1", "0.5"]]}',
            "--y", '{"atoms": [["-1", "0.5"], ["0", "0.5"]]}', "--order", "6"]
     yield ["convolve", "--kind", "Boolean", "--x", EXACT, "--y", EXACT]

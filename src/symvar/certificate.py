@@ -90,24 +90,30 @@ def _psi(t, q_minus_p):
     return sawtooth(t) / q_minus_p - t
 
 
-def verify_identity(p, grid) -> bool:
-    """Check q*psi(t) + p*psi(1+t) == h(t) - t - p on the grid.
+def _dual_sum(t, p, q, d):
+    """(h(t), q*psi(t) + p*psi(1+t)) for d = q - p, by the operations of
+    q*_psi(t, d) + p*_psi(1 + t, d), so floats round alike; h(t) is computed once."""
+    h, s = sawtooth(t), 1 + t
+    return h, q * (h / d - t) + p * (sawtooth(s) / d - s)
+
+
+def _identity_holds(t, h, lhs, p, d):
+    """Whether lhs = q*psi(t) + p*psi(1+t) equals h(t) - t - p.
 
     Exact comparison at rational points. At floats the tolerance is
     1e-12 * max(1, |t|, 1/|q - p|): both sides hold terms of size |t| and
     |h(t)/(q - p)|, and their rounding grows with them. Only the float branch
     takes float(q - p), which is 0.0 for an exact p within 1e-324 of 1/2.
     """
+    if isinstance(lhs, float):  # so is h - t - p: a float t or p makes both floats
+        return abs(lhs - (h - t - p)) <= 1e-12 * max(1.0, abs(t), 1.0 / abs(float(d)))
+    return lhs == h - t - p
+
+
+def verify_identity(p, grid) -> bool:
+    """Check q*psi(t) + p*psi(1+t) == h(t) - t - p on the grid (see _identity_holds)."""
     p, q, d = _psi_terms(p)
-    for t in grid:
-        lhs = q * _psi(t, d) + p * _psi(1 + t, d)
-        rhs = sawtooth(t) - t - p
-        if isinstance(lhs, float) or isinstance(rhs, float):
-            if abs(lhs - rhs) > 1e-12 * max(1.0, abs(t), 1.0 / abs(float(d))):
-                return False
-        elif lhs != rhs:
-            return False
-    return True
+    return all(_identity_holds(t, *_dual_sum(t, p, q, d), p, d) for t in grid)
 
 
 def verify_inequality_exact(p) -> CertificateReport:
@@ -135,36 +141,23 @@ def verify_inequality_exact(p) -> CertificateReport:
     # outside [-2, 1] the slack is at most 1/2 - 2 = -3/2
     max_violation = max(max(v for _, v in candidates), -Fraction(3, 2))
     witnesses = sorted({t for t, v in candidates if v == max_violation})
-    wit = tuple((t, q * _psi(t, d) + p * _psi(1 + t, d), t * t - p) for t in witnesses)
-    identity_ok = verify_identity(
-        p, [Fraction(i, 7) - 3 for i in range(43)]
-    )
-    return CertificateReport(
-        p=p,
-        mode="exact",
-        max_slack_violation=max_violation,
-        witnesses=wit,
-        identity_ok=identity_ok,
-    )
+    wit = tuple((t, _dual_sum(t, p, q, d)[1], t * t - p) for t in witnesses)
+    identity_ok = verify_identity(p, [Fraction(i, 7) - 3 for i in range(43)])
+    return CertificateReport(p=p, mode="exact", max_slack_violation=max_violation,
+                             witnesses=wit, identity_ok=identity_ok)
 
 
 def verify_inequality_grid(p, grid) -> CertificateReport:
-    """Sampled version of the dual inequality; max slack over the grid."""
+    """Sampled version of the dual inequality: max slack and the identity, in one walk."""
     p, q, d = _psi_terms(p)
-    rows = []
+    rows, identity_ok = [], True
     for t in grid:
-        lhs = q * _psi(t, d) + p * _psi(1 + t, d)
-        rhs = t * t - p
-        rows.append((t, lhs, rhs))
+        h, lhs = _dual_sum(t, p, q, d)
+        identity_ok = identity_ok and _identity_holds(t, h, lhs, p, d)
+        rows.append((t, lhs, t * t - p))
     worst = max(rows, key=lambda r: r[1] - r[2])
-    violation = worst[1] - worst[2]
-    return CertificateReport(
-        p=p,
-        mode="grid",
-        max_slack_violation=violation,
-        witnesses=(worst,),
-        identity_ok=verify_identity(p, grid),
-    )
+    return CertificateReport(p=p, mode="grid", max_slack_violation=worst[1] - worst[2],
+                             witnesses=(worst,), identity_ok=identity_ok)
 
 
 def certificate_lower_bound(mu: DiscreteMeasure, p):
@@ -175,6 +168,7 @@ def certificate_lower_bound(mu: DiscreteMeasure, p):
     whenever q phi(psi(y)) + p phi(psi(1+y)) = 0.
     """
     p, q, d = _psi_terms(float(p) if mu.mode == "float" else Fraction(p))
+    # not _dual_sum: subtracting the psi terms one at a time keeps its floats' rounding
     total = 0
     for t, w in mu.atoms:
         total += w * (t * t - p - q * _psi(t, d) - p * _psi(1 + t, d))

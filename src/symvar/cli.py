@@ -258,8 +258,9 @@ def _run(argv):
         sys.stdout.flush()
         return exc.code or 0
     except CriticalCaseError as exc:
-        print(json.dumps({"error": str(exc), "hint": "p=1/2 is an open problem; pick p != 1/2"}),
-              flush=True)
+        hint = ("only the Boolean minimum is open at p=1/2; classically and freely it is 1/4, "
+                "with y = -1/2; pick p != 1/2")
+        print(json.dumps({"error": str(exc), "hint": hint}), flush=True)
         return 2
     except BrokenPipeError:
         raise  # an OSError, but not a bad input: main handles it

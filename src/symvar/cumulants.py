@@ -66,6 +66,11 @@ from .errors import OrderError, SizeError
 MAX_ORDER = 13
 
 
+def check_order(order):
+    if not 1 <= order <= MAX_ORDER:
+        raise OrderError(f"order must be in 1..{MAX_ORDER}, got {order}")
+
+
 class IndependenceKind(Enum):
     """Which partition lattice governs the moment-cumulant relation."""
 
@@ -86,8 +91,7 @@ class _Prefix:
     """Base of the sequence prefixes: values holds 1..MAX_ORDER terms, order counts them."""
 
     def __post_init__(self):
-        if not 1 <= len(self.values) <= MAX_ORDER:
-            raise OrderError(f"order must be in 1..{MAX_ORDER}, got {len(self.values)}")
+        check_order(len(self.values))
 
     @property
     def order(self):

@@ -14,7 +14,7 @@ class CriticalCaseError(SymvarError):
     those minima are 1/4 < p.
     """
 
-    def __init__(self, message="critical case p=1/2 is open"):
+    def __init__(self, message="p=1/2 is the critical case: the construction divides by 1 - 2p"):
         super().__init__(message)
 
 

@@ -55,9 +55,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .certificate import _psi, _psi_terms
-from .cumulants import MAX_ORDER, IndependenceKind, MomentSequence, convolve_moments
+from .cumulants import IndependenceKind, MomentSequence, check_order, convolve_moments
 from .errors import SizeError
-from .measures import DiscreteMeasure, bernoulli, check_p, moments_of
+from .measures import DiscreteMeasure, bernoulli, check_p, check_seed, moments_of
 
 # Largest matrix dimension. In the worst case (p = 1/2, three or more atoms
 # none of which holds more than half the weight) the compressed eigenproblem
@@ -76,11 +76,6 @@ def _check_dim(n):
         raise SizeError(f"matrix dimension must be in 2..{MAX_SIM_DIM}, got {n}")
 
 
-def _check_seed(seed):
-    if seed < 0:
-        raise SizeError(f"seed must be non-negative, got {seed}")
-
-
 @dataclass(frozen=True)
 class MatrixModel:
     """One (dimension, projection trace, symmetrizer law, seed) experiment."""
@@ -92,7 +87,7 @@ class MatrixModel:
 
     def __post_init__(self):
         _check_dim(self.n)
-        _check_seed(self.seed)
+        check_seed(self.seed)
         check_p(self.p, allow_critical=True)
 
     def rank(self):
@@ -233,8 +228,7 @@ def simulate_free_sum(model: MatrixModel, order) -> MomentSequence:
 
     A moment beyond the float range is a SizeError.
     """
-    if not 1 <= order <= MAX_ORDER:
-        raise SizeError(f"order must be in 1..{MAX_ORDER}")
+    check_order(order)
     lam = _realize(model, rotate=True)
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite moments are refused below
         moments = tuple(float(np.mean(lam**k)) for k in range(1, order + 1))
@@ -266,7 +260,9 @@ def proof_identity_report(p, y_law, dims, seeds_per_dim, master_seed):
     no numeric target is asserted anywhere, the table IS the result. A
     residual beyond the float range is a SizeError.
     """
-    _check_seed(master_seed)
+    check_seed(master_seed)
+    if len(set(dims)) < len(dims):  # n seeds its replicas: a repeated n repeats their draws
+        raise SizeError(f"dims must not repeat a dimension, got {dims}")
     # every dimension is checked before the first draw
     models = [m for n in dims for m in _replicas(n, p, y_law, [master_seed, n], seeds_per_dim)]
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite residuals are refused below

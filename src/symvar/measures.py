@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isfinite, lcm
 
-from .cumulants import MAX_ORDER, MomentSequence
-from .errors import CriticalCaseError, OrderError, SizeError, SymvarError
+from .cumulants import MomentSequence, check_order
+from .errors import CriticalCaseError, SizeError, SymvarError
 
 FLOAT_MERGE_TOL = 1e-10
 HALF = Fraction(1, 2)
@@ -166,6 +166,11 @@ def check_p(p, allow_critical=False):
     return p
 
 
+def check_seed(seed):
+    if seed < 0:
+        raise SizeError(f"seed must be non-negative, got {seed}")
+
+
 def bernoulli(p) -> DiscreteMeasure:
     """The law of a projection with trace p: {0 -> 1-p, 1 -> p}."""
     mode = "float" if isinstance(p, float) else "exact"
@@ -196,8 +201,7 @@ def moments_of(mu: DiscreteMeasure, order: int) -> MomentSequence:
 
     A float moment beyond the float range is a SizeError.
     """
-    if not 1 <= order <= MAX_ORDER:
-        raise OrderError(f"order must be in 1..{MAX_ORDER}, got {order}")
+    check_order(order)
     try:
         values = tuple(sum(w * t**n for t, w in mu.atoms) for n in range(1, order + 1))
         if mu.mode == "float" and not all(map(isfinite, values)):

@@ -59,7 +59,7 @@ from .cumulants import (
     odd_moment_residual,
 )
 from .errors import SizeError, SymvarError
-from .measures import DiscreteMeasure, bernoulli, check_p, moments_of, variance
+from .measures import DiscreteMeasure, bernoulli, check_p, check_seed, moments_of, variance
 
 MAX_GRID_POINTS = 100_000
 MAX_RELAX_ORDER = (MAX_ORDER - 1) // 2  # odd orders 1..MAX_ORDER, as the residual reports
@@ -131,8 +131,7 @@ class SearchConfig:
             raise SizeError(f"restarts must be at most {MAX_RESTARTS}, got {self.restarts}")
         if self.atom_budget > MAX_ATOMS:
             raise SizeError(f"atom_budget must be at most {MAX_ATOMS}, got {self.atom_budget}")
-        if self.seed < 0:
-            raise SizeError(f"seed must be non-negative, got {self.seed}")
+        check_seed(self.seed)
 
 
 @dataclass(frozen=True)

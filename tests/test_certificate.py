@@ -175,6 +175,16 @@ def test_identity_check_fails_on_a_perturbed_sawtooth(monkeypatch):
     assert verify_identity(0.3, float_grid) is False
     assert verify_inequality_exact(F(3, 10)).identity_ok is False
     assert verify_inequality_grid(0.3, float_grid).identity_ok is False
+    assert verify_inequality_grid(F(3, 10), exact_grid).identity_ok is False
+
+
+def _grid_reference(p, grid):
+    """verify_inequality_grid's report, from verify_identity and psi point by point."""
+    q = 1 - p
+    rows = [(t, q * psi(t, p) + p * psi(1 + t, p), t * t - p) for t in grid]
+    worst = max(rows, key=lambda r: r[1] - r[2])
+    return certificate.CertificateReport(p=p, mode="grid", max_slack_violation=worst[1] - worst[2],
+                                         witnesses=(worst,), identity_ok=verify_identity(p, grid))
 
 
 @pytest.mark.parametrize("p", [0.3, 0.49999999, 0.50000001, 0.7])
@@ -182,6 +192,28 @@ def test_identity_check_fails_on_a_perturbed_sawtooth(monkeypatch):
 def test_float_identity_tolerance_scales_with_its_terms(p, reach):
     grid = [-reach, -reach / 3, -1.0, -0.25, 0.0, 0.5, reach / 7, reach]
     assert verify_identity(p, grid)
+    # the grid report's one walk gives what verify_identity and the pointwise slack give,
+    # on these points and on the same points as Fractions
+    grid += [i / 100 - 3 for i in range(401)]
+    for p, grid in ((p, grid), (F(repr(p)), [F(t) for t in grid])):
+        report = verify_inequality_grid(p, grid)
+        assert report == _grid_reference(p, grid)
+        assert report.identity_ok is True
+        assert report.witnesses[0][0] == -1  # the first tangency point wins the tie with 0
+        for t in grid:  # one-point grids: each point's sum rounds as psi's
+            assert verify_inequality_grid(p, [t]) == _grid_reference(p, [t])
+
+
+def test_each_point_evaluates_sawtooth_at_t_and_at_1_plus_t(monkeypatch):
+    calls, exact_sawtooth = [], certificate.sawtooth
+    monkeypatch.setattr(certificate, "sawtooth", lambda t: calls.append(t) or exact_sawtooth(t))
+    grid = [F(i, 4) - 1 for i in range(9)]
+    expected = [x for t in grid for x in (t, 1 + t)]
+    assert verify_identity(F(3, 10), grid)
+    assert calls == expected
+    calls.clear()
+    assert verify_inequality_grid(F(3, 10), grid).identity_ok
+    assert calls == expected
 
 
 def test_exact_identity_takes_no_float_of_q_minus_p():

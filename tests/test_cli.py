@@ -23,6 +23,14 @@ EXACT_NEG_BERN = '{"atoms": [["-1", "0.3"], ["0", "0.7"]], "mode": "exact"}'
 FLOAT_NEG_BERN = '{"atoms": [[-1.0, 0.3], [0.0, 0.7]], "mode": "float"}'
 
 
+# only the Boolean minimum is open at p = 1/2
+CRITICAL_CASE = {
+    "error": "p=1/2 is the critical case: the construction divides by 1 - 2p",
+    "hint": "only the Boolean minimum is open at p=1/2; classically and freely it is 1/4, "
+            "with y = -1/2; pick p != 1/2",
+}
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
@@ -66,7 +74,7 @@ def test_certify_critical_case_exit_2(capsys):
     assert code == 2
     obj = json.loads(out)
     assert "p=1/2" in obj["error"]
-    assert "hint" in obj
+    assert obj == CRITICAL_CASE
 
 
 def test_optimize_classical(capsys):
@@ -91,6 +99,7 @@ def test_optimize_free_requires_seed(capsys):
 def test_optimize_critical_case_exit_2(capsys):
     code, out = run(capsys, "optimize", "--kind", "free", "--p", "0.5", "--seed", "1")
     assert code == 2
+    assert json.loads(out) == CRITICAL_CASE
 
 
 def test_optimize_free_small(capsys):
@@ -335,6 +344,7 @@ def _assert_json_error(capsys, argv):
         ["--n", "10000000000"],
         ["--experiment", "proof-identity", "--dims", "2", "--reps", str(MAX_REPS + 1)],
         ["--reps", "4611686018427387904"],  # 2**62: refused before any seed or array is made
+        ["--experiment", "proof-identity", "--dims", "20,20", "--reps", "2"],  # same draws twice
     ],
 )
 def test_simulate_bad_sizes_exit_1(capsys, argv):

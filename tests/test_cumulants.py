@@ -13,6 +13,7 @@ from symvar.cumulants import (
     CumulantSequence,
     IndependenceKind,
     MomentSequence,
+    check_order,
     convolve_moments,
     cumulants_to_moments,
     moments_to_cumulants,
@@ -243,14 +244,16 @@ def test_odd_moment_residual_examples():
 
 
 def test_order_limits():
-    with pytest.raises(OrderError):
+    with pytest.raises(OrderError, match=r"^order must be in 1\.\.13, got 14$"):
         MomentSequence((F(0),) * 14)
-    with pytest.raises(OrderError):
+    with pytest.raises(OrderError, match=r"^order must be in 1\.\.13, got 0$"):
         MomentSequence(())
-    with pytest.raises(OrderError):
+    with pytest.raises(OrderError, match=r"^order must be in 1\.\.13, got 14$"):
         CumulantSequence(K.FREE, (F(0),) * 14)
-    with pytest.raises(OrderError):
+    with pytest.raises(OrderError, match=r"^order must be in 1\.\.13, got 0$"):
         CumulantSequence(K.FREE, ())
+    with pytest.raises(OrderError, match=r"^order must be in 1\.\.13, got 14$"):
+        check_order(14)
 
 
 def test_sequences_build_positionally_compare_by_class_and_hash():

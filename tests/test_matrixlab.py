@@ -8,6 +8,7 @@ from symvar import matrixlab as ml
 from symvar.cumulants import IndependenceKind, convolve_moments
 from symvar.errors import CriticalCaseError, SizeError
 from symvar.measures import DiscreteMeasure, bernoulli, moments_of
+from symvar.optimizer import SearchConfig
 
 Y_LAW = DiscreteMeasure.from_atoms([(-1.0, 0.3), (0.0, 0.7)], mode="float")
 THREE_ATOM = DiscreteMeasure.from_atoms([(-1.0, 0.2), (-0.5, 0.2), (0.0, 0.6)], mode="float")
@@ -457,6 +458,7 @@ def test_empirical_vs_predicted_draws_from_the_children_of_the_model_seed(monkey
         lambda: ml.proof_identity_report(0.3, Y_LAW, [200], 2**62, 1),
         lambda: ml.empirical_vs_predicted(ml.MatrixModel(200, 0.3, Y_LAW, 1), 4, ml.MAX_REPS + 1),
         lambda: ml.empirical_vs_predicted(ml.MatrixModel(200, 0.3, Y_LAW, 1), 4, 2**62),
+        lambda: ml.proof_identity_report(0.3, Y_LAW, [20, 41, 20], 2, 5),  # would repeat its draws
     ],
 )
 def test_bad_sizes_are_refused_before_any_draw(monkeypatch, call):
@@ -502,10 +504,11 @@ def test_reps_validation():
         ml.proof_identity_report(0.3, Y_LAW, [20], 0, 1)
     with pytest.raises(SizeError):
         ml.proof_identity_report(0.3, Y_LAW, [20, 1], 1, 1)
-    with pytest.raises(SizeError):
-        ml.proof_identity_report(0.3, Y_LAW, [20], 1, -1)
-    with pytest.raises(SizeError):
-        ml.simulate_free_sum(model, 14)
+    # the matrix models and the search share one seed check and its text
+    for refused in (lambda: ml.proof_identity_report(0.3, Y_LAW, [20], 1, -1),
+                    lambda: ml.MatrixModel(20, 0.3, Y_LAW, -1), lambda: SearchConfig(seed=-1)):
+        with pytest.raises(SizeError, match=r"^seed must be non-negative, got -1$"):
+            refused()
 
 
 @pytest.mark.filterwarnings("error")

@@ -4,6 +4,8 @@ from fractions import Fraction as F
 import pytest
 
 from conftest import random_exact_measure
+from symvar import matrixlab
+from symvar.cumulants import MomentSequence
 from symvar.errors import OrderError, SizeError, SymvarError
 from symvar.measures import (
     MAX_EXACT_DIGITS,
@@ -165,9 +167,20 @@ def test_num_str_beyond_the_int_to_string_limit():
             _num_str(x)
 
 
-def test_order_limit():
-    with pytest.raises(OrderError):
-        moments_of(bernoulli(F(1, 2)), 14)
+def test_order_limit(monkeypatch):
+    # moments_of, simulate_free_sum and the sequences share one check and its text,
+    # and simulate_free_sum refuses before its draw
+    draws = []
+    monkeypatch.setattr(matrixlab, "_realize", lambda *a, **k: draws.append(a))
+    model = matrixlab.MatrixModel(20, 0.3, bernoulli(0.3), 1)
+    for refused in (lambda: moments_of(bernoulli(F(1, 2)), 14),
+                    lambda: matrixlab.simulate_free_sum(model, 14),
+                    lambda: MomentSequence((F(0),) * 14)):
+        with pytest.raises(OrderError, match=r"^order must be in 1\.\.13, got 14$"):
+            refused()
+    with pytest.raises(OrderError, match=r"^order must be in 1\.\.13, got 0$"):
+        matrixlab.simulate_free_sum(model, 0)
+    assert draws == []
 
 
 def test_json_round_trip_exact():
