@@ -31,6 +31,9 @@ LAWS = {
     "three_atom": [[-1.0, 0.2], [-0.5, 0.2], [0.0, 0.6]],
 }
 EXACT = '{"atoms": [["-1", "0.3"], ["0", "0.7"]], "mode": "exact"}'
+SEVENTHS = '{"atoms": [["1/7", "1/7"], ["2", "6/7"]]}'  # exact, with non-terminating output
+HUGE = '{"atoms": [["1e100", "1"]]}'  # its exact residual is beyond the float range
+TOO_LONG = '{"atoms": [["1e999", "1"]]}'  # its exact moments have too many digits to print
 DEPTH = 100_000
 DEEP = "[" * DEPTH + "]" * DEPTH
 
@@ -83,6 +86,16 @@ def commands():
     yield ["symmetry", "--p", "0.3", "--kind", "free", "--measure", _measure(LAWS["two_atom"])]
     yield ["symmetry", "--p", "0.3", "--kind", "free", "--measure", "@deep.json"]
     yield ["convolve", "--kind", "free", "--x", DEEP, "--y", EXACT]
+    two, three = _measure(LAWS["two_atom"]), _measure(LAWS["three_atom"])
+    yield ["convolve", "--kind", "classical", "--x", EXACT, "--y", two]  # mixed modes print floats
+    yield ["convolve", "--kind", "free", "--x", two, "--y", EXACT]
+    yield ["convolve", "--kind", "boolean", "--x", two, "--y", three]
+    yield ["convolve", "--kind", "free", "--x", SEVENTHS, "--y", EXACT]
+    yield ["symmetry", "--p", "1/3", "--kind", "boolean", "--measure", SEVENTHS]
+    yield ["symmetry", "--p", "0.3", "--kind", "classical", "--measure", HUGE]
+    yield ["symmetry", "--p", "0.3", "--kind", "free", "--measure", TOO_LONG]
+    yield ["convolve", "--kind", "classical", "--x", TOO_LONG, "--y", EXACT]
+    yield ["certify", "--p", "1/3", "--mode", "exact"]
     yield ["simulate", "--p", "0.3", "--n", "40", "--reps", "3", "--seed", "5", "--dims", "x,y"]
     yield ["simulate", "--experiment", "proof-identity", "--p", "0.7", "--n", "5", "--order", "99",
            "--dims", "20,41", "--reps", "2", "--seed", "5"]

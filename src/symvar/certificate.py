@@ -14,13 +14,12 @@ of h, with tangency exactly at t = 0 and t = -1.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
-from .errors import SizeError
-from .measures import HALF, DiscreteMeasure, _num_str, check_p
+from .errors import CriticalCaseError, SizeError
+from .measures import HALF, DiscreteMeasure, check_p, dumps
 
 
 @dataclass(frozen=True)
@@ -38,18 +37,7 @@ class CertificateReport:
     identity_ok: bool
 
     def to_json(self):
-        def num(x):
-            return _num_str(x) if isinstance(x, (Fraction, int)) else x
-
-        return json.dumps(
-            {
-                "p": num(self.p),
-                "mode": self.mode,
-                "max_slack_violation": num(self.max_slack_violation),
-                "witnesses": [[num(v) for v in w] for w in self.witnesses],
-                "identity_ok": self.identity_ok,
-            }
-        )
+        return dumps(asdict(self))
 
 
 def sawtooth(t):
@@ -92,9 +80,13 @@ def _psi(t, q_minus_p):
 
 def _dual_sum(t, p, q, d):
     """(h(t), q*psi(t) + p*psi(1+t)) for d = q - p, by the operations of
-    q*_psi(t, d) + p*_psi(1 + t, d), so floats round alike; h(t) is computed once."""
+    q*_psi(t, d) + p*_psi(1 + t, d), so floats round alike; h(t) is computed once.
+    A float t meets float(d) = 0.0 at an exact p within 1e-324 of 1/2: the critical case."""
     h, s = sawtooth(t), 1 + t
-    return h, q * (h / d - t) + p * (sawtooth(s) / d - s)
+    try:
+        return h, q * (h / d - t) + p * (sawtooth(s) / d - s)
+    except ZeroDivisionError:
+        raise CriticalCaseError() from None
 
 
 def _identity_holds(t, h, lhs, p, d):
@@ -155,6 +147,8 @@ def verify_inequality_grid(p, grid) -> CertificateReport:
         h, lhs = _dual_sum(t, p, q, d)
         identity_ok = identity_ok and _identity_holds(t, h, lhs, p, d)
         rows.append((t, lhs, t * t - p))
+    if not rows:
+        raise SizeError("the grid has no points")
     worst = max(rows, key=lambda r: r[1] - r[2])
     return CertificateReport(p=p, mode="grid", max_slack_violation=worst[1] - worst[2],
                              witnesses=(worst,), identity_ok=identity_ok)
@@ -168,8 +162,7 @@ def certificate_lower_bound(mu: DiscreteMeasure, p):
     whenever q phi(psi(y)) + p phi(psi(1+y)) = 0.
     """
     p, q, d = _psi_terms(float(p) if mu.mode == "float" else Fraction(p))
-    # not _dual_sum: subtracting the psi terms one at a time keeps its floats' rounding
     total = 0
     for t, w in mu.atoms:
-        total += w * (t * t - p - q * _psi(t, d) - p * _psi(1 + t, d))
+        total += w * (t * t - p - _dual_sum(t, p, q, d)[1])
     return total

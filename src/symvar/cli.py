@@ -12,13 +12,13 @@ import json
 import os
 import re
 import sys
+from dataclasses import asdict
 
 from . import matrixlab
 from .certificate import verify_inequality_exact, verify_inequality_grid
 from .cumulants import IndependenceKind, convolve_moments, odd_moment_residual
 from .errors import CriticalCaseError, SizeError, SymvarError
-from .measures import (DiscreteMeasure, _num_str, bernoulli, check_p, exact_number, moments_of,
-                       negate)
+from .measures import DiscreteMeasure, bernoulli, check_p, dumps, exact_number, moments_of, negate
 from .optimizer import GridSpec, SearchConfig, classical_min_variance, nc_min_variance
 
 
@@ -76,11 +76,7 @@ def _cmd_convolve(args):
     my = _load_measure(args.y)
     kind = IndependenceKind(args.kind)
     ms = convolve_moments(moments_of(mx, args.order), moments_of(my, args.order), kind)
-    vals = [
-        _num_str(v) if mx.mode == "exact" and my.mode == "exact" else float(v)
-        for v in ms.values
-    ]
-    return json.dumps({"kind": kind.value, "order": args.order, "moments": vals})
+    return dumps({"kind": kind.value, "order": args.order, "moments": ms.values})
 
 
 def _cmd_symmetry(args):
@@ -96,8 +92,8 @@ def _cmd_symmetry(args):
         residual = None
     out = {"kind": kind.value, "order": args.order, "residual": residual}
     if mu.mode == "exact":
-        out.update({"residual_exact": _num_str(res)})
-    return json.dumps(out)
+        out["residual_exact"] = res
+    return dumps(out)
 
 
 # For each subcommand with modes: the option that picks the mode, and the mode
@@ -128,9 +124,7 @@ def _cmd_certify(args):
     else:
         grid = _parse_grid("-5:5:0.001" if args.grid is None else args.grid)
         report = verify_inequality_grid(float(p), GridSpec(*grid, must_include=()).points())
-    obj = json.loads(report.to_json())
-    obj["p_exact"] = f"{p.numerator}/{p.denominator}"
-    return json.dumps(obj)
+    return dumps({**asdict(report), "p_exact": f"{p.numerator}/{p.denominator}"})
 
 
 def _cmd_optimize(args):
@@ -170,7 +164,7 @@ def _cmd_simulate(args):
         dims = _parse_dims("200,400,800" if args.dims is None else args.dims)
         report = rows = matrixlab.proof_identity_report(float(p), y_law, dims, args.reps, args.seed)
         fields = list(rows[0])
-    return matrixlab.rows_csv(rows, fields) if args.output == "csv" else json.dumps(report)
+    return matrixlab.rows_csv(rows, fields) if args.output == "csv" else dumps(report)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -260,13 +254,12 @@ def _run(argv):
     except CriticalCaseError as exc:
         hint = ("only the Boolean minimum is open at p=1/2; classically and freely it is 1/4, "
                 "with y = -1/2; pick p != 1/2")
-        print(json.dumps({"error": str(exc), "hint": hint}), flush=True)
+        print(dumps({"error": str(exc), "hint": hint}), flush=True)
         return 2
     except BrokenPipeError:
         raise  # an OSError, but not a bad input: main handles it
     except (SymvarError, OSError, json.JSONDecodeError, KeyError) as exc:
-        print(json.dumps({"error": str(exc), "hint": "check parameters and input files"}),
-              flush=True)
+        print(dumps({"error": str(exc), "hint": "check parameters and input files"}), flush=True)
         return 1
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from math import isfinite, lcm
 
@@ -88,14 +88,7 @@ class DiscreteMeasure:
         return cls(tuple((t, w) for t, w in merged), mode)
 
     def to_json(self):
-        return json.dumps(
-            {
-                "atoms": [[_num_str(t), _num_str(w)] for t, w in self.atoms]
-                if self.mode == "exact"
-                else [[t, w] for t, w in self.atoms],
-                "mode": self.mode,
-            }
-        )
+        return dumps(asdict(self))
 
     @classmethod
     def from_json(cls, text):
@@ -145,6 +138,17 @@ def _num_str(x):
                         "(sys.get_int_max_str_digits())") from None
     sign = "-" if x.numerator < 0 else ""
     return f"{sign}{s[:-k]}.{s[-k:]}"
+
+
+def _encode(x):
+    if isinstance(x, Fraction):
+        return _num_str(x)
+    raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
+
+
+def dumps(obj):
+    """obj as JSON text, every Fraction in it as a _num_str string: the only JSON writer."""
+    return json.dumps(obj, default=_encode)
 
 
 def check_p(p, allow_critical=False):

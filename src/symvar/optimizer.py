@@ -45,8 +45,7 @@ commands never use scipy, whose optimize package takes about 0.6 s to import.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from math import isfinite
 
 import numpy as np
@@ -59,7 +58,7 @@ from .cumulants import (
     odd_moment_residual,
 )
 from .errors import SizeError, SymvarError
-from .measures import DiscreteMeasure, bernoulli, check_p, check_seed, moments_of, variance
+from .measures import DiscreteMeasure, bernoulli, check_p, check_seed, dumps, moments_of, variance
 
 MAX_GRID_POINTS = 100_000
 MAX_RELAX_ORDER = (MAX_ORDER - 1) // 2  # odd orders 1..MAX_ORDER, as the residual reports
@@ -151,12 +150,12 @@ class OptResult:
     order: int | None = None
 
     def to_json(self):
-        return json.dumps(
+        return dumps(
             {
                 "objective": self.objective,
                 "status": self.status,
                 "residual": self.residual,
-                "measure": json.loads(self.measure.to_json()) if self.measure else None,
+                "measure": asdict(self.measure) if self.measure else None,
                 "evaluations": self.evaluations,
                 "order": self.order,
             }

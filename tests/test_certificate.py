@@ -223,6 +223,22 @@ def test_exact_identity_takes_no_float_of_q_minus_p():
     assert report.max_slack_violation == 0
 
 
+def test_float_points_at_an_exact_p_next_to_half_are_the_critical_case():
+    # float(q - p) is 0.0, which a float point divides by; exact points take no float of it
+    p = F(1, 2) + F(1, 10**400)
+    for walk in (verify_identity, verify_inequality_grid):
+        with pytest.raises(CriticalCaseError):
+            walk(p, [F(1, 4), 0.5])
+    assert verify_identity(p, [F(1, 2), F(-3, 7)])
+    assert verify_inequality_grid(p, [F(1, 2), F(-3, 7)]).identity_ok
+
+
+def test_empty_grid():
+    with pytest.raises(SizeError, match="^the grid has no points$"):
+        verify_inequality_grid(0.3, [])
+    assert verify_identity(0.3, [])  # vacuously
+
+
 def test_psi_terms_match_the_callers_arithmetic():
     assert certificate._psi_terms(F(3, 10)) == (F(3, 10), F(7, 10), F(2, 5))
     p, q, d = certificate._psi_terms(0.3)
@@ -272,6 +288,18 @@ def test_lower_bound_nonnegative_random_measures(rng):
         for _ in range(100):
             mu = random_exact_measure(rng)
             assert certificate_lower_bound(mu, p) >= 0
+
+
+def test_lower_bound_is_the_atomwise_slack_of_psi(rng):
+    # exact: the sum of psi's terms, to the last digit; float: the exact value up to rounding
+    for p in P_SET:
+        q = 1 - p
+        for _ in range(20):
+            mu = random_exact_measure(rng)
+            exact = sum(w * (t * t - p - q * psi(t, p) - p * psi(1 + t, p)) for t, w in mu.atoms)
+            assert certificate_lower_bound(mu, p) == exact
+            floats = DiscreteMeasure.from_atoms(mu.atoms, mode="float")
+            assert certificate_lower_bound(floats, p) == pytest.approx(float(exact), abs=1e-12)
 
 
 def test_lower_bound_critical_case():

@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict
 from fractions import Fraction as F
 
 import pytest
@@ -13,6 +14,7 @@ from symvar.measures import (
     _num_str,
     bernoulli,
     dilate,
+    dumps,
     exact_number,
     mean,
     moments_of,
@@ -165,6 +167,21 @@ def test_num_str_beyond_the_int_to_string_limit():
     for x in (10**5000, F(1, 3**10000), F(3**10000, 2)):  # integer, a/b and decimal
         with pytest.raises(SizeError, match="more digits"):
             _num_str(x)
+
+
+def test_dumps_writes_each_fraction_by_num_str():
+    assert dumps([F(1, 4), F(-1, 3), F(7), F(-5, 2)]) == '["0.25", "-1/3", "7", "-2.5"]'
+    plain = [0.1, 1e300, -0.0, 5e-324, 7, -3, True, None, "x"]
+    assert dumps(plain) == json.dumps(plain)  # floats and ints print unchanged
+    assert dumps({"row": (F(1, 8), 0.5, 2)}) == '{"row": ["0.125", 0.5, 2]}'  # a tuple is a list
+    mu = DiscreteMeasure.from_atoms([(F(-1, 3), F(1, 4)), (F(1, 2), F(3, 4))])
+    assert dumps({"measure": asdict(mu)}) == (
+        '{"measure": {"atoms": [["-1/3", "0.25"], ["0.5", "0.75"]], "mode": "exact"}}'
+    )
+    with pytest.raises(TypeError, match="^Object of type complex is not JSON serializable$"):
+        dumps({"z": 1j})
+    with pytest.raises(SizeError, match="more digits"):
+        dumps({"x": F(1, 3**10000)})
 
 
 def test_order_limit(monkeypatch):
