@@ -70,6 +70,10 @@ def commands():
     yield ["optimize", "--kind", "FREE", "--p", "0.3", "--seed", "7", "--restarts", "2"]
     yield ["optimize", "--kind", "free", "--p", "1/2", "--seed", "1"]
     yield ["optimize", "--kind", "bogus", "--p", "0.3"]
+    yield ["optimize", "--kind", "boolean", "--p", "1/2", "--allow-critical"]
+    yield ["optimize", "--kind", "free", "--p", "1/2", "--seed", "1", "--restarts", "1",
+           "--allow-critical"]
+    yield ["optimize", "--kind", "classical", "--p", "1/2", "--allow-critical"]
     yield ["certify", "--p", "0.3", "--mode", "exact"]
     yield ["certify", "--p", "0.45", "--mode", "grid", "--grid", "-3:3:0.01"]
     yield ["certify", "--p", "0.499999", "--mode", "grid"]

@@ -94,11 +94,14 @@ def _identity_holds(t, h, lhs, p, d):
 
     Exact comparison at rational points. At floats the tolerance is
     1e-12 * max(1, |t|, 1/|q - p|): both sides hold terms of size |t| and
-    |h(t)/(q - p)|, and their rounding grows with them. Only the float branch
-    takes float(q - p), which is 0.0 for an exact p within 1e-324 of 1/2.
+    |h(t)/(q - p)|, and their rounding grows with them. Only floats take float(q - p);
+    where 1/|q - p| overflows (an exact q - p below 5.6e-309), h/d is lost: critical.
     """
     if isinstance(lhs, float):  # so is h - t - p: a float t or p makes both floats
-        return abs(lhs - (h - t - p)) <= 1e-12 * max(1.0, abs(t), 1.0 / abs(float(d)))
+        scale = max(1.0, abs(t), 1.0 / abs(float(d)))
+        if scale == math.inf:
+            raise CriticalCaseError()
+        return abs(lhs - (h - t - p)) <= 1e-12 * scale
     return lhs == h - t - p
 
 

@@ -131,7 +131,7 @@ def _cmd_optimize(args):
     p = _parse_rational(args.p)
     kind = IndependenceKind(args.kind)
     classical = kind is IndependenceKind.CLASSICAL
-    pf = check_p(float(p), args.allow_critical or classical)  # the classical LP allows p = 1/2
+    pf = check_p(float(p), classical)  # the classical LP allows p = 1/2
     _refuse_unread(args, kind.value)
     if classical:
         include = _parse_floats("-1,0" if args.include is None else args.include, ",", "include")
@@ -139,13 +139,13 @@ def _cmd_optimize(args):
         mode = "exact_law" if args.relax_order is None else "moment_relax"
         result = classical_min_variance(p, grid, mode=mode, relax_order=args.relax_order)
     elif kind is IndependenceKind.BOOLEAN:
-        result = nc_min_variance(pf, kind, allow_critical=args.allow_critical)
+        result = nc_min_variance(pf, kind)
     else:
         if args.seed is None:
             raise SymvarError("--seed is required for randomized searches")
         knobs = {"restarts": args.restarts, "atom_budget": args.atoms, "seed": args.seed}
         cfg = SearchConfig(**{key: v for key, v in knobs.items() if v is not None})
-        result = nc_min_variance(pf, kind, cfg, allow_critical=args.allow_critical)
+        result = nc_min_variance(pf, kind, cfg)
     return result.to_json()
 
 
@@ -223,7 +223,6 @@ def build_parser():
     sp.add_argument("--seed", type=int, default=None)
     sp.add_argument("--restarts", type=int, default=None)
     sp.add_argument("--atoms", type=int, default=None)
-    sp.add_argument("--allow-critical", action="store_true")
     sp.add_argument("--outfile", default=None)
     sp.set_defaults(func=_cmd_optimize)
 

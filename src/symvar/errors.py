@@ -8,7 +8,7 @@ class SymvarError(ValueError):
 class CriticalCaseError(SymvarError):
     """Raised whenever p = 1/2 reaches a computation that divides by 1 - 2p.
 
-    Every entry point rejects p = 1/2 explicitly rather than producing
+    Every entry point of the proof rejects p = 1/2 explicitly rather than producing
     garbage. Only the Boolean minimum is open there: classically and freely
     y = -1/2 makes e + y symmetric, and m_1(y) = -p forces m_2(y) >= 1/4, so
     those minima are 1/4 < p.

@@ -154,7 +154,7 @@ def dumps(obj):
 def check_p(p, allow_critical=False):
     """p as a float if it is one, else as a Fraction; it must lie in (0, 1).
 
-    p = 1/2 is a CriticalCaseError unless allow_critical.
+    p = 1/2 is a CriticalCaseError unless allow_critical (the classical LP, MatrixModel).
     """
     # each type compares with its own 1/2: psi runs this once per point
     if isinstance(p, float):

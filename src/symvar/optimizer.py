@@ -143,23 +143,14 @@ class OptResult:
     """
 
     objective: float | None
-    measure: DiscreteMeasure | None
-    residual: float | None
     status: str  # "optimal" | "feasible" | "infeasible"
+    residual: float | None
+    measure: DiscreteMeasure | None
     evaluations: int = 0  # rows of the search's odd-cumulant map; 0 for the LPs
     order: int | None = None
 
     def to_json(self):
-        return dumps(
-            {
-                "objective": self.objective,
-                "status": self.status,
-                "residual": self.residual,
-                "measure": asdict(self.measure) if self.measure else None,
-                "evaluations": self.evaluations,
-                "order": self.order,
-            }
-        )
+        return dumps(asdict(self))
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +182,7 @@ def _result(locs, weights, pf, kind, order, gate, objective=None, evaluations=0)
     within gate, else "feasible".
     """
     if weights is None:
-        return OptResult(None, None, None, "infeasible", order=order)
+        return OptResult(None, "infeasible", None, None, order=order)
     keep = weights > 1e-12
     w = weights[keep] / weights[keep].sum()
     mu = DiscreteMeasure.from_atoms(zip(locs[keep], w), mode="float")
@@ -199,9 +190,9 @@ def _result(locs, weights, pf, kind, order, gate, objective=None, evaluations=0)
     msum = convolve_moments(moments_of(bernoulli(pf), MAX_ORDER), my, kind)
     # moment_relax leaves the odd moments above its order free
     gated = max(map(abs, msum.values[: order or MAX_ORDER : 2]))
-    return OptResult(float(my.values[1] if objective is None else objective(mu)), mu,
-                     float(odd_moment_residual(msum)), "optimal" if gated <= gate else "feasible",
-                     int(evaluations), order)
+    return OptResult(float(my.values[1] if objective is None else objective(mu)),
+                     "optimal" if gated <= gate else "feasible", float(odd_moment_residual(msum)),
+                     mu, int(evaluations), order)
 
 
 def _mirror_rows(g, pf):
@@ -328,7 +319,7 @@ def _odd_cumulants(locs, weights, e_kappa):
     return (_free_m2k_float(my) + e_kappa)[:, 0::2], my[:, 1]
 
 
-def nc_min_variance(p, kind, cfg: SearchConfig = SearchConfig(), allow_critical=False) -> OptResult:
+def nc_min_variance(p, kind, cfg: SearchConfig = SearchConfig()) -> OptResult:
     """min phi(y^2) over y (free or Boolean) with e+y symmetric up to MAX_ORDER.
 
     Boolean: the LP over the F-transform measure of the module docstring,
@@ -342,7 +333,7 @@ def nc_min_variance(p, kind, cfg: SearchConfig = SearchConfig(), allow_critical=
     they stay candidates too. The lowest m2 among candidates whose gap is
     below 1e-10 wins, else the smallest gap. Deterministic for a fixed config.
     """
-    pf = check_p(float(p), allow_critical)
+    pf = check_p(float(p))
     kind = IndependenceKind(kind)
     if kind is IndependenceKind.CLASSICAL:
         raise SizeError("use classical_min_variance for the classical kind")

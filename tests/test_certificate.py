@@ -233,6 +233,21 @@ def test_float_points_at_an_exact_p_next_to_half_are_the_critical_case():
     assert verify_inequality_grid(p, [F(1, 2), F(-3, 7)]).identity_ok
 
 
+def test_float_points_where_q_minus_p_is_subnormal_are_the_critical_case():
+    # float(q - p) = -1e-309: 1/|q - p| overflows, and h/d is inf (NaN in the
+    # sum at t = 1/4) or all rounding (at t = 1e-4 a wrong sum of 0.0 passed,
+    # since the tolerance was inf)
+    p = F(1, 2) + F(1, 2 * 10**309)
+    for walk in (verify_identity, verify_inequality_grid):
+        for grid in ([0.25], [1e-4], [F(1, 4), 0.25]):
+            with pytest.raises(CriticalCaseError):
+                walk(p, grid)
+    assert verify_identity(p, [F(1, 4)])
+    assert verify_inequality_grid(p, [F(1, 4)]).identity_ok
+    # q - p = -2e-308 is a normal float: 1/|q - p| is finite, and floats still answer
+    assert verify_identity(F(1, 2) + F(1, 10**308), [0.25, 1e-4, -3.7])
+
+
 def test_empty_grid():
     with pytest.raises(SizeError, match="^the grid has no points$"):
         verify_inequality_grid(0.3, [])

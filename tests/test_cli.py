@@ -1,7 +1,9 @@
+import argparse
 import csv
 import io
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -100,6 +102,30 @@ def test_optimize_critical_case_exit_2(capsys):
     code, out = run(capsys, "optimize", "--kind", "free", "--p", "0.5", "--seed", "1")
     assert code == 2
     assert json.loads(out) == CRITICAL_CASE
+
+
+def test_optimize_has_no_critical_case_bypass(capsys):
+    # criterion 8: no option lets the free or Boolean minimum run at p = 1/2
+    code = main(["optimize", "--kind", "boolean", "--p", "1/2", "--allow-critical"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "--allow-critical" in json.loads(captured.out)["error"]
+    assert "Traceback" not in captured.err
+
+
+def test_readme_names_every_option():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    parser = cli.build_parser()
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    undocumented = {
+        (name, option)
+        for name, sub in subparsers.choices.items()
+        for action in sub._actions
+        for option in action.option_strings
+        if option.startswith("--") and option != "--help"
+        and not re.search(rf"(?<![\w-]){re.escape(option)}(?![\w-])", readme)
+    }
+    assert not undocumented
 
 
 def test_optimize_free_small(capsys):

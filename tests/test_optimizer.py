@@ -354,7 +354,8 @@ def test_infeasible_lp_is_reported_with_its_order(monkeypatch):
         5: classical_min_variance(0.3, GRID, mode="moment_relax", relax_order=2),
     }
     for order, result in results.items():
-        assert result == OptResult(None, None, None, "infeasible", 0, order)
+        assert result == OptResult(objective=None, status="infeasible", residual=None,
+                                   measure=None, evaluations=0, order=order)
 
 
 def test_search_does_not_revive_dropped_atoms():
