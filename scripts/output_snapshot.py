@@ -68,6 +68,8 @@ def commands():
     yield ["optimize", "--kind", "boolean", "--p", "0.9"]
     yield ["optimize", "--kind", "boolean", "--p", "0.3"]
     yield ["optimize", "--kind", "FREE", "--p", "0.3", "--seed", "7", "--restarts", "2"]
+    yield ["optimize", "--kind", "free", "--p", "0.3", "--seed", "1", "--restarts", "2"]
+    yield ["optimize", "--kind", "free", "--p", "0.7", "--seed", "2", "--restarts", "2"]
     yield ["optimize", "--kind", "free", "--p", "1/2", "--seed", "1"]
     yield ["optimize", "--kind", "bogus", "--p", "0.3"]
     yield ["optimize", "--kind", "boolean", "--p", "1/2", "--allow-critical"]

@@ -46,7 +46,9 @@ of Free Probability, Lect. 16),
 
 a diagonal of successive powers of 1/M, so N - 1 stacked mat-vecs with a
 lower-triangular Toeplitz matrix (one matmul per power, all rows at once)
-give every entry. The Boolean minimum needs no such kernel: it is an LP over
+give every entry. The chain runs one power further, to M^(-N), for the
+derivatives dk_n/dm_j = [t^(n-j)] M(t)^(-n), which the search's constraint
+Jacobian reads. The Boolean minimum needs no such kernel: it is an LP over
 the measure of y's F-transform, whose moments are y's Boolean cumulants from
 k_2 on (see optimizer).
 """
@@ -215,21 +217,59 @@ def _reciprocal(s):
     return r
 
 
-def _free_m2k_float(m):
-    """Free cumulants of each row of m: k_1 = m_1, k_n = -[t^n] M(t)^(1-n) / (n-1).
+def _free_powers(m):
+    """Columns [t^i] S^n, i, n = 0..N, of the powers of S = 1/M per row of m.
 
-    Each stacked Toeplitz mat-vec raises the power of 1/M by one while the
-    coefficient read moves up by one, so N - 1 mat-vecs give the whole row.
+    Each stacked Toeplitz mat-vec multiplies the last column by S; the result
+    has shape (..., N + 1, N + 1).
     """
     lt = _toeplitz(_reciprocal(_unit_series(m)))
     q = np.zeros(lt.shape[:-1] + (1,))
     q[..., 0, 0] = 1.0
-    k = np.empty_like(m)
-    k[..., 0] = m[..., 0]
-    for n in range(2, m.shape[-1] + 1):
+    columns = [q]
+    for _ in range(m.shape[-1]):
         q = lt @ q
-        k[..., n - 1] = q[..., n, 0] / (1 - n)
-    return k
+        columns.append(q)
+    return np.concatenate(columns, axis=-1)
+
+
+def _read_cumulants(m, powers):
+    """k_1 = m_1 and k_n = [t^n] S^(n-1) / (1 - n) from the columns of _free_powers."""
+    n = np.arange(2, m.shape[-1] + 1)
+    return np.concatenate((m[..., :1], powers[..., n, n - 1] / (1 - n)), axis=-1)
+
+
+@lru_cache(maxsize=MAX_ORDER + 1)
+def _derivative_index(order):
+    """(rows, cols) gathering [t^(n-j)] S^n at (n, j), n, j = 1..N, from _free_powers' columns.
+
+    For j > n they point at (N, 0), a zero: S^0 = 1.
+    """
+    n = np.arange(1, order + 1)
+    lag = np.subtract.outer(n, n)
+    rows, cols = np.where(lag >= 0, lag, order), np.where(lag >= 0, n[:, None], 0)
+    rows.flags.writeable = cols.flags.writeable = False
+    return rows, cols
+
+
+def _free_m2k_float(m):
+    """Free cumulants of each row of m: k_1 = m_1, k_n = -[t^n] M(t)^(1-n) / (n-1).
+
+    The powers of 1/M up to N - 1 give the whole row: the coefficient read
+    moves up by one with the power.
+    """
+    return _read_cumulants(m, _free_powers(m))
+
+
+def _free_m2k_jac(m):
+    """Free cumulants of each row of m and their derivatives, from one chain of powers.
+
+    Differentiating k_n = -[t^n] S^(n-1) / (n-1) in m_j, where dS/dm_j = -S^2 t^j,
+    gives dk_n/dm_j = [t^(n-j)] S^n, 0 for j > n: the power N is read here
+    only. Returns k (..., N) and dk (..., N, N).
+    """
+    powers = _free_powers(m)
+    return _read_cumulants(m, powers), powers[(...,) + _derivative_index(m.shape[-1])]
 
 
 def convolve_moments(mx: MomentSequence, my: MomentSequence, kind) -> MomentSequence:

@@ -28,15 +28,18 @@ one evaluation needs only y's moments (one cumprod and one stacked matmul)
 and the batched moments-to-cumulants kernel; e's cumulants are computed
 once. Each start runs one SLSQP solve (scipy's, Kraft 1988): minimize
 m_2(y) = sum w t^2, with its analytic gradient, subject to these odd
-cumulants and the mass row sum w = 1. The constraint Jacobian is the
-complex step (Squire-Trapp 1998): the map has no abs or comparison, so its
-imaginary part at z + ih e_j, h = 1e-30, is column j exact to rounding,
-and one batched call of 2k rows gives all of it. With k <= 3 atoms there
-are fewer variables than equations and SLSQP returns its start.
+cumulants and the mass row sum w = 1. The constraints' value and Jacobian
+at a point come from one real kernel pass: the powers of S = 1/M that give
+the cumulants also give dk_n/dm_j = [t^(n-j)] S^n, and the chain rule runs
+through dm_j/dt_i = j w_i t_i^(j-1) and dm_j/dw_i = t_i^j; the mass row's
+is (0, .., 0, 1, .., 1). SLSQP asks for the Jacobian at the point whose
+value it just took (and first for the Jacobian at its start), so a
+one-entry memo, keyed on a copy of the point, serves both. With k <= 3
+atoms there are fewer variables than equations and SLSQP returns its start.
 Every result is reported by _result, whose residual is the largest odd
 moment of e+y, computed from the returned measure through convolve_moments.
-OptResult.evaluations counts every row of the odd-cumulant map: constraint
-and Jacobian rows and the candidates; it is 0 for an LP.
+OptResult.evaluations counts every row of the odd-cumulant map: one per
+distinct SLSQP point and one per candidate; it is 0 for an LP.
 
 scipy.optimize and scipy.sparse are imported inside the functions that call
 them, on the first LP or search: the CLI imports this module, and its exact
@@ -54,6 +57,7 @@ from .cumulants import (
     MAX_ORDER,
     IndependenceKind,
     _free_m2k_float,
+    _free_m2k_jac,
     convolve_moments,
     odd_moment_residual,
 )
@@ -146,7 +150,7 @@ class OptResult:
     status: str  # "optimal" | "feasible" | "infeasible"
     residual: float | None
     measure: DiscreteMeasure | None
-    evaluations: int = 0  # rows of the search's odd-cumulant map; 0 for the LPs
+    evaluations: int = 0  # search points and candidates through the odd-cumulant map; 0 for LPs
     order: int | None = None
 
     def to_json(self):
@@ -312,11 +316,34 @@ def _odd_cumulants(locs, weights, e_kappa):
     """Odd free cumulants of e+y and m2(y), per row, for y supported on (locs, weights).
 
     e_kappa holds e's free cumulants k_1..k_N as a numpy vector, N >= 2; y's
-    come from the batched kernel, one call for all rows. Complex rows give
-    the complex step: the map has no abs, max or comparison.
+    come from the batched kernel, one call for all rows. Complex rows work
+    too: the map has no abs, max or comparison, so a complex step through it
+    differentiates it.
     """
     my = _moments(locs, weights, len(e_kappa))
     return (_free_m2k_float(my) + e_kappa)[:, 0::2], my[:, 1]
+
+
+def _constraint(locs, weights, e_kappa):
+    """The search's constraints at one law y on (locs, weights), and their Jacobian.
+
+    The constraints are _odd_cumulants' row and the mass row sum w - 1. The
+    Jacobian comes from the same kernel pass: dk_n/dm_j by _free_m2k_jac,
+    then dm_j/dt_i = j w_i t_i^(j-1) and dm_j/dw_i = t_i^j.
+    """
+    order, atoms = len(e_kappa), len(locs)
+    k_y, dk = _free_m2k_jac(_moments(locs[None], weights[None], order)[0])
+    powers = np.ones((atoms, order + 1))  # t_i^j, j = 0..N
+    np.cumprod(np.repeat(locs[:, None], order, axis=1), axis=1, out=powers[:, 1:])
+    dm_dt = powers[:, :-1] * (weights[:, None] * np.arange(1, order + 1))
+    dm = np.concatenate((dm_dt, powers[:, 1:]))  # dm_j/dz_i, z = (t, w)
+    odd = (order + 1) // 2
+    value, jac = np.empty(odd + 1), np.zeros((odd + 1, 2 * atoms))
+    np.add(k_y[0::2], e_kappa[0::2], out=value[:-1])
+    value[-1] = weights.sum() - 1.0
+    np.matmul(dk[0::2], dm.T, out=jac[:-1])
+    jac[-1, atoms:] = 1.0
+    return value, jac
 
 
 def nc_min_variance(p, kind, cfg: SearchConfig = SearchConfig()) -> OptResult:
@@ -342,23 +369,25 @@ def nc_min_variance(p, kind, cfg: SearchConfig = SearchConfig()) -> OptResult:
     k = cfg.atom_budget
     e_kappa = _free_m2k_float(np.full(MAX_ORDER, pf))  # Bernoulli(p): m_n = p
     evaluations = 0  # rows of the odd-cumulant map
+    memo = [None, None]  # the last point's bytes, and its constraint value and Jacobian
 
-    def gap(z):
-        """Odd cumulants of e+y and the mass row, per row z = (locations, weights)."""
+    def constraint_at(z):
+        """Value and Jacobian of the constraints at z; SLSQP asks both at each point."""
         nonlocal evaluations
-        evaluations += len(z)
-        odd = _odd_cumulants(z[:, :k], z[:, k:], e_kappa)[0]
-        return np.hstack([odd, z[:, k:].sum(axis=1, keepdims=True) - 1.0])
+        key = z.tobytes()  # a copy: SLSQP changes its x in place
+        if key != memo[0]:
+            evaluations += 1
+            memo[:] = key, _constraint(z[:k], z[k:], e_kappa)
+        return memo[1]
 
     def m2(z):
-        t, w = np.split(z, 2)
+        t, w = z[:k], z[k:]
         return w @ t**2, np.concatenate([2.0 * w * t, t**2])
 
     constraint = {
         "type": "eq",
-        "fun": lambda z: gap(z[None])[0],
-        # complex step: exact to rounding with h = 1e-30, all 2k rows in one call
-        "jac": lambda z: gap(z + 1e-30j * np.eye(2 * k)).imag.T * 1e30,
+        "fun": lambda z: constraint_at(z)[0],
+        "jac": lambda z: constraint_at(z)[1],
     }
     bounds = [BOX] * k + [(0.0, 1.0)] * k
 
@@ -376,11 +405,13 @@ def nc_min_variance(p, kind, cfg: SearchConfig = SearchConfig()) -> OptResult:
     # the starts themselves are candidates: the seeded one is the theorem's
     # equality case and must never be lost to solver drift
     zs = np.vstack([starts, solved])
-    res = np.abs(gap(zs)).max(axis=1)
+    evaluations += len(zs)
+    odd = _odd_cumulants(zs[:, :k], zs[:, k:], e_kappa)[0]
+    res = np.maximum(np.abs(odd).max(axis=1), np.abs(zs[:, k:].sum(axis=1) - 1.0))
     m2s = (zs[:, k:] * zs[:, :k] ** 2).sum(axis=1)
     # a solve that converged ends with a gap below ftol; one cut at maxiter near
     # the constraint set trades gap for m2 (gap 5.5e-9 gave m2 = p - 2.1e-9)
     feasible = res < 1e-10
     best = np.lexsort((res, m2s, ~feasible))[0] if feasible.any() else np.lexsort((m2s, res))[0]
 
-    return _result(*np.split(zs[best], 2), pf, kind, MAX_ORDER, 1e-6, evaluations=evaluations)
+    return _result(zs[best, :k], zs[best, k:], pf, kind, MAX_ORDER, 1e-6, evaluations=evaluations)

@@ -368,8 +368,10 @@ def test_search_does_not_revive_dropped_atoms():
 
 
 def test_evaluations_count_every_row_evaluated(monkeypatch):
-    # every constraint, Jacobian and candidate row passes through _moments; the
-    # objective m2 does not, and the final report goes through convolve_moments
+    # every constraint point and candidate row passes through _moments; the
+    # objective m2 does not, and the final report goes through convolve_moments.
+    # A point's value and Jacobian come from one row: SLSQP points are one row
+    # each, the candidates one batch at the end
     rows = []
 
     def counting_moments(locs, weights, order):
@@ -378,20 +380,67 @@ def test_evaluations_count_every_row_evaluated(monkeypatch):
 
     moments = optimizer._moments
     monkeypatch.setattr(optimizer, "_moments", counting_moments)
-    k = 3  # 2k Jacobian rows, unlike the 1 constraint row or the 4 candidates
-    result = nc_min_variance(0.3, "free", SearchConfig(restarts=1, atom_budget=k, seed=5))
+    cfg = SearchConfig(restarts=1, atom_budget=3, seed=5)
+    result = nc_min_variance(0.3, "free", cfg)
     assert result.evaluations == sum(rows) > 0
-    assert 2 * k in rows  # one complex-step Jacobian: a row per variable
+    assert rows[:-1] == [1] * (len(rows) - 1) and len(rows) > 1
+    assert rows[-1] == 2 * (cfg.restarts + 1)  # the starts and the solves
     assert json.loads(result.to_json())["evaluations"] == result.evaluations
+
+
+def _random_laws(rng, count, atoms):
+    """count rows (locations in BOX, Dirichlet weights) on the given number of atoms."""
+    return np.c_[rng.uniform(*optimizer.BOX, (count, atoms)), rng.dirichlet(np.ones(atoms), count)]
+
+
+@pytest.mark.parametrize("p", [0.3, 0.7])
+def test_constraint_value_is_the_odd_cumulant_row_bit_for_bit(p):
+    # the search's per-point constraint reads the same kernel pass as the
+    # batched map: the one-row _odd_cumulants and the mass row, to the bit
+    e_kappa = optimizer._free_m2k_float(np.full(MAX_ORDER, p))
+    rng = np.random.default_rng(17)
+    for atoms in (1, 2, 6, 9):
+        for z in _random_laws(rng, 50, atoms):
+            locs, weights = z[None, :atoms], z[None, atoms:]
+            odd = optimizer._odd_cumulants(locs, weights, e_kappa)[0]
+            expected = np.hstack([odd, weights.sum(axis=1, keepdims=True) - 1.0])[0]
+            value, jac = optimizer._constraint(z[:atoms], z[atoms:], e_kappa)
+            assert value.tobytes() == expected.tobytes()
+            assert jac.shape == (len(value), 2 * atoms)
+
+
+def test_constraint_memo_follows_in_place_changes(monkeypatch):
+    # SLSQP changes its x in place between calls: after fun(x), x changed in
+    # place must give the Jacobian and value at the new x, not the memo's
+    constraints = []
+
+    def capture(fun, x0, **kwargs):
+        constraints.append(kwargs["constraints"])
+        return OptimizeResult(x=x0)
+
+    monkeypatch.setattr(optimizer, "minimize", capture)
+    atoms = 4
+    nc_min_variance(0.3, "free", SearchConfig(restarts=1, atom_budget=atoms, seed=3))
+    fun, jac = constraints[0]["fun"], constraints[0]["jac"]
+    e_kappa = optimizer._free_m2k_float(np.full(MAX_ORDER, 0.3))
+    a, b = _random_laws(np.random.default_rng(8), 2, atoms)
+    x = a.copy()
+    fun(x)
+    for z in (b, a):  # the Jacobian asked for first, as SLSQP does at its start
+        x[:] = z
+        value, jacobian = optimizer._constraint(z[:atoms], z[atoms:], e_kappa)
+        assert np.array_equal(jac(x), jacobian)
+        assert np.array_equal(fun(x), value)
 
 
 @pytest.mark.parametrize("p", [0.3, 0.7])
 def test_complex_step_through_odd_cumulants(p):
-    # the search's constraint Jacobian is the imaginary part of the map on
-    # z + ih e_j: its real part must be the float map (to rounding, which
-    # scales with y's largest moment) and imag / h the derivative that a
-    # five-point central difference gives; an abs, a float buffer or a branch
-    # on a value inside the kernels would break it
+    # the search's constraint Jacobian is analytic (dk_n/dm_j = [t^(n-j)] S^n
+    # and the chain rule through the moments); two oracles check it. The
+    # complex step: the batched map on z + ih e_j has real part the float map
+    # (to rounding, which scales with y's largest moment) and imag / h the
+    # derivative, since the kernels have no abs, float buffer or branch on a
+    # value. And a five-point central difference
     e_kappa = optimizer._free_m2k_float(np.full(MAX_ORDER, p))
     rng = np.random.default_rng(0)
     laws = [np.array([-1.0, 0.0, p, 1 - p])]  # the equality case y = -e
@@ -400,13 +449,14 @@ def test_complex_step_through_odd_cumulants(p):
         k, eye, h, d = len(z) // 2, np.eye(len(z)), 1e-30, 3e-4
 
         def f(rows):
-            odd, m2 = optimizer._odd_cumulants(rows[:, :k], rows[:, k:], e_kappa)
-            return np.hstack([odd, m2[:, None]])
+            odd = optimizer._odd_cumulants(rows[:, :k], rows[:, k:], e_kappa)[0]
+            return np.hstack([odd, rows[:, k:].sum(axis=1, keepdims=True) - 1.0])
 
+        value, jac = optimizer._constraint(z[:k], z[k:], e_kappa)
         stepped = f(z + 1j * h * eye)
         scale = np.abs(optimizer._moments(z[:k], z[k:], MAX_ORDER)).max()
-        assert np.abs(stepped.real - f(z[None])).max() <= 1e-15 * scale
-        jac = stepped.imag / h
+        assert np.abs(stepped.real - value).max() <= 1e-15 * scale
+        assert np.abs(jac - stepped.imag.T / h).max() <= 1e-12 * scale
         central = (8 * (f(z + d * eye) - f(z - d * eye))
-                   - (f(z + 2 * d * eye) - f(z - 2 * d * eye))) / (12 * d)
-        assert (np.abs(jac - central) <= 1e-6 * np.abs(jac).max(axis=0)).all()
+                   - (f(z + 2 * d * eye) - f(z - 2 * d * eye))).T / (12 * d)
+        assert (np.abs(jac - central) <= 1e-6 * np.abs(jac).max(axis=1, keepdims=True)).all()
