@@ -70,6 +70,11 @@ def commands():
     yield ["optimize", "--kind", "FREE", "--p", "0.3", "--seed", "7", "--restarts", "2"]
     yield ["optimize", "--kind", "free", "--p", "0.3", "--seed", "1", "--restarts", "2"]
     yield ["optimize", "--kind", "free", "--p", "0.7", "--seed", "2", "--restarts", "2"]
+    yield ["optimize", "--kind", "free", "--p", "0.3", "--seed", "3", "--restarts", "2",
+           "--atoms", "9"]
+    # at 4 atoms most SLSQP solves run to maxiter, so any rounding change shows
+    yield ["optimize", "--kind", "free", "--p", "0.7", "--seed", "4", "--restarts", "2",
+           "--atoms", "4"]
     yield ["optimize", "--kind", "free", "--p", "1/2", "--seed", "1"]
     yield ["optimize", "--kind", "bogus", "--p", "0.3"]
     yield ["optimize", "--kind", "boolean", "--p", "1/2", "--allow-critical"]

@@ -38,14 +38,16 @@ The free search needs many sequences at once, and only moments to
 cumulants: cumulants add, and every partition of an odd set has a block of
 odd size, so the odd moments of e+y up to order N vanish exactly when its odd
 cumulants k_odd(e) + k_odd(y) do, and the search constrains those. For it the
-numpy kernel below maps one (R, N) batch of moment rows to cumulant rows per
-call. It is Lagrange inversion (Nica-Speicher, Lectures on the Combinatorics
-of Free Probability, Lect. 16),
+numpy kernel below maps moment rows to cumulant rows one row at a time, so a
+row's cumulants do not depend on the batch it came in. It is Lagrange
+inversion (Nica-Speicher, Lectures on the Combinatorics of Free Probability,
+Lect. 16),
 
   k_n = -[t^n] M(t)^(1-n) / (n-1)  (n >= 2),
 
-a diagonal of successive powers of 1/M, so N - 1 stacked mat-vecs with a
-lower-triangular Toeplitz matrix (one matmul per power, all rows at once)
+a diagonal of successive powers of 1/M. Per row, 1/M comes by forward
+substitution on Python scalars (a numpy call per step costs more than its
+arithmetic), then N - 1 mat-vecs with its lower-triangular Toeplitz matrix
 give every entry. The chain runs one power further, to M^(-N), for the
 derivatives dk_n/dm_j = [t^(n-j)] M(t)^(-n), which the search's constraint
 Jacobian reads. The Boolean minimum needs no such kernel: it is an LP over
@@ -196,58 +198,43 @@ def _toeplitz_index(n):
     return idx
 
 
-def _toeplitz(s):
-    """Lower-triangular Toeplitz matrix of each row of s: multiplying by it is
-    multiplication by that series, truncated at the row length."""
-    pad = np.concatenate((s, np.zeros(s.shape[:-1] + (1,))), axis=-1)
-    return pad[..., _toeplitz_index(s.shape[-1])]
-
-
-def _unit_series(tail):
-    """Rows (1, tail_1, ..., tail_N) of power series with constant term 1."""
-    return np.concatenate((np.ones(tail.shape[:-1] + (1,)), tail), axis=-1)
-
-
-def _reciprocal(s):
-    """1/s(t) truncated at the row length, per row; s_0 = 1 (forward substitution)."""
-    r = np.zeros_like(s)
-    r[..., 0] = 1.0
-    for n in range(1, s.shape[-1]):
-        r[..., n] = -(s[..., None, n:0:-1] @ r[..., :n, None])[..., 0, 0]
-    return r
-
-
 def _free_powers(m):
-    """Columns [t^i] S^n, i, n = 0..N, of the powers of S = 1/M per row of m.
+    """Rows [t^i] S^n, i = 0..N, of the powers n = 0..N of S = 1/M, for one row m.
 
-    Each stacked Toeplitz mat-vec multiplies the last column by S; the result
-    has shape (..., N + 1, N + 1).
+    1/M comes by forward substitution on Python scalars, each sum in index
+    order; each Toeplitz mat-vec then multiplies the last power by S, into
+    its row of the result.
     """
-    lt = _toeplitz(_reciprocal(_unit_series(m)))
-    q = np.zeros(lt.shape[:-1] + (1,))
-    q[..., 0, 0] = 1.0
-    columns = [q]
-    for _ in range(m.shape[-1]):
-        q = lt @ q
-        columns.append(q)
-    return np.concatenate(columns, axis=-1)
+    order = len(m)
+    mm, s = [1.0] + m.tolist(), [1.0]  # Python scalars: numpy's cost ~1 us per operation
+    for n in range(1, order + 1):
+        acc = 0.0
+        for i in range(n):
+            acc += mm[n - i] * s[i]
+        s.append(-acc)
+    lt = np.array(s + [0.0])[_toeplitz_index(order + 1)]
+    powers = np.zeros((order + 1, order + 1), lt.dtype)
+    powers[0, 0] = 1
+    for n in range(1, order + 1):
+        lt.dot(powers[n - 1], out=powers[n])
+    return powers
 
 
 def _read_cumulants(m, powers):
-    """k_1 = m_1 and k_n = [t^n] S^(n-1) / (1 - n) from the columns of _free_powers."""
-    n = np.arange(2, m.shape[-1] + 1)
-    return np.concatenate((m[..., :1], powers[..., n, n - 1] / (1 - n)), axis=-1)
+    """k_1 = m_1 and k_n = [t^n] S^(n-1) / (1 - n) from the rows of _free_powers."""
+    n = np.arange(2, len(m) + 1)
+    return np.concatenate((m[:1], powers[n - 1, n] / (1 - n)))
 
 
 @lru_cache(maxsize=MAX_ORDER + 1)
 def _derivative_index(order):
-    """(rows, cols) gathering [t^(n-j)] S^n at (n, j), n, j = 1..N, from _free_powers' columns.
+    """(rows, cols) gathering [t^(n-j)] S^n at (n, j), n, j = 1..N, from _free_powers' rows.
 
-    For j > n they point at (N, 0), a zero: S^0 = 1.
+    For j > n they point at (0, N), a zero: S^0 = 1.
     """
     n = np.arange(1, order + 1)
     lag = np.subtract.outer(n, n)
-    rows, cols = np.where(lag >= 0, lag, order), np.where(lag >= 0, n[:, None], 0)
+    rows, cols = np.where(lag >= 0, n[:, None], 0), np.where(lag >= 0, lag, order)
     rows.flags.writeable = cols.flags.writeable = False
     return rows, cols
 
@@ -255,21 +242,25 @@ def _derivative_index(order):
 def _free_m2k_float(m):
     """Free cumulants of each row of m: k_1 = m_1, k_n = -[t^n] M(t)^(1-n) / (n-1).
 
-    The powers of 1/M up to N - 1 give the whole row: the coefficient read
-    moves up by one with the power.
+    m is one row or a batch of rows, mapped one row at a time, so a row's
+    cumulants do not depend on its batch. The powers of 1/M up to N - 1 give
+    the whole row: the coefficient read moves up by one with the power.
     """
-    return _read_cumulants(m, _free_powers(m))
+    k = np.empty(m.shape, np.result_type(m, float))
+    for row, out in zip(m.reshape(-1, m.shape[-1]), k.reshape(-1, m.shape[-1])):
+        out[:] = _read_cumulants(row, _free_powers(row))
+    return k
 
 
 def _free_m2k_jac(m):
-    """Free cumulants of each row of m and their derivatives, from one chain of powers.
+    """Free cumulants of one row m and their derivatives, from one chain of powers.
 
     Differentiating k_n = -[t^n] S^(n-1) / (n-1) in m_j, where dS/dm_j = -S^2 t^j,
     gives dk_n/dm_j = [t^(n-j)] S^n, 0 for j > n: the power N is read here
-    only. Returns k (..., N) and dk (..., N, N).
+    only. Returns k (N,) and dk (N, N).
     """
     powers = _free_powers(m)
-    return _read_cumulants(m, powers), powers[(...,) + _derivative_index(m.shape[-1])]
+    return _read_cumulants(m, powers), powers[_derivative_index(len(m))]
 
 
 def convolve_moments(mx: MomentSequence, my: MomentSequence, kind) -> MomentSequence:

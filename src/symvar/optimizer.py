@@ -25,17 +25,20 @@ The search works in cumulant coordinates: by the same argument, the
 symmetry constraints k_odd(e) + k_odd(y) = 0 are linear in y's free
 cumulants. For y on k atoms (locations t in [-3, 2], weights w in [0, 1])
 one evaluation needs only y's moments (one cumprod and one stacked matmul)
-and the batched moments-to-cumulants kernel; e's cumulants are computed
-once. Each start runs one SLSQP solve (scipy's, Kraft 1988): minimize
-m_2(y) = sum w t^2, with its analytic gradient, subject to these odd
-cumulants and the mass row sum w = 1. The constraints' value and Jacobian
-at a point come from one real kernel pass: the powers of S = 1/M that give
-the cumulants also give dk_n/dm_j = [t^(n-j)] S^n, and the chain rule runs
-through dm_j/dt_i = j w_i t_i^(j-1) and dm_j/dw_i = t_i^j; the mass row's
-is (0, .., 0, 1, .., 1). SLSQP asks for the Jacobian at the point whose
-value it just took (and first for the Jacobian at its start), so a
-one-entry memo, keyed on a copy of the point, serves both. With k <= 3
-atoms there are fewer variables than equations and SLSQP returns its start.
+and the moments-to-cumulants kernel; e's cumulants are computed once. Each
+start runs one SLSQP solve (scipy's, Kraft 1988): minimize m_2(y) = sum w t^2
+subject to these odd cumulants and the mass row sum w = 1. m_2's analytic
+gradient is a callable of its own, so SLSQP computes it only at iterates,
+not at line-search points. The constraints' value at every point comes from
+one real kernel pass, and their Jacobian from the same pass, built only
+where SLSQP asks for it (about one point in three): the powers of S = 1/M
+that give the cumulants also give dk_n/dm_j = [t^(n-j)] S^n, and the chain
+rule runs through dm_j/dt_i = j w_i t_i^(j-1) and dm_j/dw_i = t_i^j; the
+mass row's is (0, .., 0, 1, .., 1). SLSQP asks for the Jacobian at the
+point whose value it just took (and first for the Jacobian at its start),
+so a one-entry memo, keyed on a copy of the point, keeps the pass and the
+Jacobian once built. With k <= 3 atoms there are fewer variables than
+equations and SLSQP returns its start.
 Every result is reported by _result, whose residual is the largest odd
 moment of e+y, computed from the returned measure through convolve_moments.
 OptResult.evaluations counts every row of the odd-cumulant map: one per
@@ -49,6 +52,7 @@ commands never use scipy, whose optimize package takes about 0.6 s to import.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from functools import cache
 from math import isfinite
 
 import numpy as np
@@ -316,8 +320,10 @@ def _odd_cumulants(locs, weights, e_kappa):
     """Odd free cumulants of e+y and m2(y), per row, for y supported on (locs, weights).
 
     e_kappa holds e's free cumulants k_1..k_N as a numpy vector, N >= 2; y's
-    come from the batched kernel, one call for all rows. Complex rows work
-    too: the map has no abs, max or comparison, so a complex step through it
+    come from the kernel, one call for all rows, which it maps one at a time:
+    a row's result does not depend on the others, so the candidates' final
+    check reproduces the gap SLSQP saw at each point. Complex rows work too:
+    the map has no abs, max or comparison, so a complex step through it
     differentiates it.
     """
     my = _moments(locs, weights, len(e_kappa))
@@ -325,25 +331,33 @@ def _odd_cumulants(locs, weights, e_kappa):
 
 
 def _constraint(locs, weights, e_kappa):
-    """The search's constraints at one law y on (locs, weights), and their Jacobian.
+    """The search's constraints at one law y on (locs, weights), and their Jacobian's builder.
 
     The constraints are _odd_cumulants' row and the mass row sum w - 1. The
-    Jacobian comes from the same kernel pass: dk_n/dm_j by _free_m2k_jac,
-    then dm_j/dt_i = j w_i t_i^(j-1) and dm_j/dw_i = t_i^j.
+    Jacobian comes from the same kernel pass, built on the builder's first
+    call and then cached: dk_n/dm_j by _free_m2k_jac, then
+    dm_j/dt_i = j w_i t_i^(j-1) and dm_j/dw_i = t_i^j. The builder reads locs
+    and weights, so they must not change before it is called.
     """
     order, atoms = len(e_kappa), len(locs)
     k_y, dk = _free_m2k_jac(_moments(locs[None], weights[None], order)[0])
-    powers = np.ones((atoms, order + 1))  # t_i^j, j = 0..N
-    np.cumprod(np.repeat(locs[:, None], order, axis=1), axis=1, out=powers[:, 1:])
-    dm_dt = powers[:, :-1] * (weights[:, None] * np.arange(1, order + 1))
-    dm = np.concatenate((dm_dt, powers[:, 1:]))  # dm_j/dz_i, z = (t, w)
     odd = (order + 1) // 2
-    value, jac = np.empty(odd + 1), np.zeros((odd + 1, 2 * atoms))
+    value = np.empty(odd + 1)
     np.add(k_y[0::2], e_kappa[0::2], out=value[:-1])
     value[-1] = weights.sum() - 1.0
-    np.matmul(dk[0::2], dm.T, out=jac[:-1])
-    jac[-1, atoms:] = 1.0
-    return value, jac
+
+    @cache
+    def jacobian():
+        powers = np.ones((atoms, order + 1))  # t_i^j, j = 0..N
+        np.cumprod(np.repeat(locs[:, None], order, axis=1), axis=1, out=powers[:, 1:])
+        dm_dt = powers[:, :-1] * (weights[:, None] * np.arange(1, order + 1))
+        dm = np.concatenate((dm_dt, powers[:, 1:]))  # dm_j/dz_i, z = (t, w)
+        jac = np.zeros((odd + 1, 2 * atoms))
+        np.matmul(dk[0::2], dm.T, out=jac[:-1])
+        jac[-1, atoms:] = 1.0
+        return jac
+
+    return value, jacobian
 
 
 def nc_min_variance(p, kind, cfg: SearchConfig = SearchConfig()) -> OptResult:
@@ -369,25 +383,29 @@ def nc_min_variance(p, kind, cfg: SearchConfig = SearchConfig()) -> OptResult:
     k = cfg.atom_budget
     e_kappa = _free_m2k_float(np.full(MAX_ORDER, pf))  # Bernoulli(p): m_n = p
     evaluations = 0  # rows of the odd-cumulant map
-    memo = [None, None]  # the last point's bytes, and its constraint value and Jacobian
+    memo = [None, None]  # the last point's bytes, and _constraint there
 
     def constraint_at(z):
-        """Value and Jacobian of the constraints at z; SLSQP asks both at each point."""
+        """_constraint at z: its value at every point, its Jacobian where SLSQP asks."""
         nonlocal evaluations
-        key = z.tobytes()  # a copy: SLSQP changes its x in place
+        key = z.tobytes()
         if key != memo[0]:
             evaluations += 1
-            memo[:] = key, _constraint(z[:k], z[k:], e_kappa)
+            x = np.frombuffer(key)  # a copy: SLSQP changes its z in place
+            memo[:] = key, _constraint(x[:k], x[k:], e_kappa)
         return memo[1]
 
     def m2(z):
+        return z[k:] @ z[:k] ** 2
+
+    def m2_gradient(z):  # a callable of its own: SLSQP asks for it only at iterates
         t, w = z[:k], z[k:]
-        return w @ t**2, np.concatenate([2.0 * w * t, t**2])
+        return np.concatenate([2.0 * w * t, t**2])
 
     constraint = {
         "type": "eq",
         "fun": lambda z: constraint_at(z)[0],
-        "jac": lambda z: constraint_at(z)[1],
+        "jac": lambda z: constraint_at(z)[1](),
     }
     bounds = [BOX] * k + [(0.0, 1.0)] * k
 
@@ -400,8 +418,9 @@ def nc_min_variance(p, kind, cfg: SearchConfig = SearchConfig()) -> OptResult:
         z[:k] = rng.uniform(*BOX, k)
         z[k:] = rng.dirichlet(np.ones(k))
     # with k <= 3 there are fewer variables than equations: SLSQP returns the start
-    solved = [minimize(m2, z, jac=True, method="SLSQP", bounds=bounds, constraints=constraint,
-                       options={"maxiter": 100, "ftol": 1e-12}).x for z in starts]
+    solved = [minimize(m2, z, jac=m2_gradient, method="SLSQP", bounds=bounds,
+                       constraints=constraint, options={"maxiter": 100, "ftol": 1e-12}).x
+              for z in starts]
     # the starts themselves are candidates: the seeded one is the theorem's
     # equality case and must never be lost to solver drift
     zs = np.vstack([starts, solved])

@@ -25,6 +25,7 @@ from symvar.errors import OrderError, SizeError
 from symvar.measures import bernoulli, dilate, moments_of, negate
 from symvar.optimizer import nc_min_variance
 from lattice import enumerate_partitions
+import stacked_kernel
 
 K = IndependenceKind
 KINDS = (K.CLASSICAL, K.FREE, K.BOOLEAN)
@@ -329,5 +330,19 @@ def test_batched_float_kernels_match_exact_transforms_per_row(kind):
     for row_m, row_k in zip(m, k):
         exact_k = moments_to_cumulants(MomentSequence(tuple(map(F, row_m))), kind).values
         _assert_close(row_k, exact_k, 1e-6)
-        # a single sequence is the one-row case
-        np.testing.assert_allclose(batch(row_m), row_k, rtol=1e-9, atol=1e-9)
+        # a single sequence is the one-row case, to the bit
+        assert batch(row_m).tobytes() == row_k.tobytes()
+
+
+@pytest.mark.parametrize("count", [2, 18, 50])
+def test_batched_rows_round_as_single_rows(count):
+    # the kernel maps one row at a time, so a row's cumulants do not depend on
+    # its batch, and a row alone is the stacked oracle's row alone; the
+    # stacked oracle's batched mat-vecs rounded rows of a batch differently
+    laws = list(_random_float_laws(count, seed=count))
+    m = np.array([w @ t[:, None] ** np.arange(1, MAX_ORDER + 1) for t, w in laws])
+    k = _free_m2k_float(m)
+    for i in range(count):
+        alone = _free_m2k_float(m[i:i + 1])[0]
+        assert k[i].tobytes() == alone.tobytes()
+        assert alone.tobytes() == stacked_kernel.free_m2k_float(m[i]).tobytes()

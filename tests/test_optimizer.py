@@ -6,6 +6,7 @@ import pytest
 import scipy.optimize
 from scipy.optimize import OptimizeResult
 
+import stacked_kernel
 from symvar import optimizer
 from symvar.cumulants import (
     MAX_ORDER,
@@ -404,9 +405,24 @@ def test_constraint_value_is_the_odd_cumulant_row_bit_for_bit(p):
             locs, weights = z[None, :atoms], z[None, atoms:]
             odd = optimizer._odd_cumulants(locs, weights, e_kappa)[0]
             expected = np.hstack([odd, weights.sum(axis=1, keepdims=True) - 1.0])[0]
-            value, jac = optimizer._constraint(z[:atoms], z[atoms:], e_kappa)
+            value, jacobian = optimizer._constraint(z[:atoms], z[atoms:], e_kappa)
             assert value.tobytes() == expected.tobytes()
-            assert jac.shape == (len(value), 2 * atoms)
+            assert jacobian().shape == (len(value), 2 * atoms)
+
+
+@pytest.mark.parametrize("p", [0.3, 0.7])
+def test_constraint_matches_the_stacked_kernel_bit_for_bit(p):
+    # the row-by-row kernel computes each entry as the stacked one did on one
+    # row: same constraint values and Jacobian, so the same SLSQP trajectories
+    e_kappa = optimizer._free_m2k_float(np.full(MAX_ORDER, p))
+    assert e_kappa.tobytes() == stacked_kernel.free_m2k_float(np.full(MAX_ORDER, p)).tobytes()
+    rng = np.random.default_rng(23)
+    for atoms in (1, 2, 6, 9):
+        for z in _random_laws(rng, 50, atoms):
+            value, jacobian = optimizer._constraint(z[:atoms], z[atoms:], e_kappa)
+            expected_value, expected_jac = stacked_kernel.constraint(z[:atoms], z[atoms:], e_kappa)
+            assert value.tobytes() == expected_value.tobytes()
+            assert jacobian().tobytes() == expected_jac.tobytes()
 
 
 def test_constraint_memo_follows_in_place_changes(monkeypatch):
@@ -424,13 +440,25 @@ def test_constraint_memo_follows_in_place_changes(monkeypatch):
     fun, jac = constraints[0]["fun"], constraints[0]["jac"]
     e_kappa = optimizer._free_m2k_float(np.full(MAX_ORDER, 0.3))
     a, b = _random_laws(np.random.default_rng(8), 2, atoms)
+    expected = {z.tobytes(): stacked_kernel.constraint(z[:atoms], z[atoms:], e_kappa)
+                for z in (a, b)}
     x = a.copy()
     fun(x)
     for z in (b, a):  # the Jacobian asked for first, as SLSQP does at its start
         x[:] = z
-        value, jacobian = optimizer._constraint(z[:atoms], z[atoms:], e_kappa)
+        value, jacobian = expected[z.tobytes()]
         assert np.array_equal(jac(x), jacobian)
         assert np.array_equal(fun(x), value)
+    # the Jacobian is built after fun, from the memo's own copy of the point:
+    # x changed in place since must not reach it
+    x[:] = b
+    fun(x)
+    x[:] = a
+    assert np.array_equal(jac(b.copy()), expected[b.tobytes()][1])
+    # a second request at the same point builds nothing: no row, the same array
+    rows = []
+    monkeypatch.setattr(optimizer, "_moments", lambda *args: rows.append(args))
+    assert jac(b) is jac(b) and not rows
 
 
 @pytest.mark.parametrize("p", [0.3, 0.7])
@@ -452,7 +480,8 @@ def test_complex_step_through_odd_cumulants(p):
             odd = optimizer._odd_cumulants(rows[:, :k], rows[:, k:], e_kappa)[0]
             return np.hstack([odd, rows[:, k:].sum(axis=1, keepdims=True) - 1.0])
 
-        value, jac = optimizer._constraint(z[:k], z[k:], e_kappa)
+        value, jacobian = optimizer._constraint(z[:k], z[k:], e_kappa)
+        jac = jacobian()
         stepped = f(z + 1j * h * eye)
         scale = np.abs(optimizer._moments(z[:k], z[k:], MAX_ORDER)).max()
         assert np.abs(stepped.real - value).max() <= 1e-15 * scale
