@@ -75,6 +75,12 @@ def commands():
     # at 4 atoms most SLSQP solves run to maxiter, so any rounding change shows
     yield ["optimize", "--kind", "free", "--p", "0.7", "--seed", "4", "--restarts", "2",
            "--atoms", "4"]
+    # a random start wins (objective p - 1.6e-11 at gap 5.2e-11), so the
+    # candidates' gap cut and their m2 ranking decide the result
+    yield ["optimize", "--kind", "free", "--p", "0.3", "--seed", "4053640108", "--restarts", "8"]
+    # with k <= 3 SLSQP returns its start: every solve duplicates a start
+    yield ["optimize", "--kind", "free", "--p", "0.7", "--seed", "5", "--restarts", "2",
+           "--atoms", "3"]
     yield ["optimize", "--kind", "free", "--p", "1/2", "--seed", "1"]
     yield ["optimize", "--kind", "bogus", "--p", "0.3"]
     yield ["optimize", "--kind", "boolean", "--p", "1/2", "--allow-critical"]

@@ -57,8 +57,11 @@ def _parse_dims(text):
 
 def _load_measure(text):
     if text.startswith("@"):
-        with open(text[1:]) as fh:
-            text = fh.read()
+        try:
+            with open(text[1:], encoding="utf-8") as fh:
+                text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise SymvarError(f"measure file {text[1:]!r} is not UTF-8: {exc}") from None
     return DiscreteMeasure.from_json(text)
 
 

@@ -38,14 +38,13 @@ The free search needs many sequences at once, and only moments to
 cumulants: cumulants add, and every partition of an odd set has a block of
 odd size, so the odd moments of e+y up to order N vanish exactly when its odd
 cumulants k_odd(e) + k_odd(y) do, and the search constrains those. For it the
-numpy kernel below maps moment rows to cumulant rows one row at a time, so a
-row's cumulants do not depend on the batch it came in. It is Lagrange
+numpy kernel below maps one moment row to its cumulant row. It is Lagrange
 inversion (Nica-Speicher, Lectures on the Combinatorics of Free Probability,
 Lect. 16),
 
   k_n = -[t^n] M(t)^(1-n) / (n-1)  (n >= 2),
 
-a diagonal of successive powers of 1/M. Per row, 1/M comes by forward
+a diagonal of successive powers of 1/M, which comes by forward
 substitution on Python scalars (a numpy call per step costs more than its
 arithmetic), then N - 1 mat-vecs with its lower-triangular Toeplitz matrix
 give every entry. The chain runs one power further, to M^(-N), for the
@@ -220,12 +219,6 @@ def _free_powers(m):
     return powers
 
 
-def _read_cumulants(m, powers):
-    """k_1 = m_1 and k_n = [t^n] S^(n-1) / (1 - n) from the rows of _free_powers."""
-    n = np.arange(2, len(m) + 1)
-    return np.concatenate((m[:1], powers[n - 1, n] / (1 - n)))
-
-
 @lru_cache(maxsize=MAX_ORDER + 1)
 def _derivative_index(order):
     """(rows, cols) gathering [t^(n-j)] S^n at (n, j), n, j = 1..N, from _free_powers' rows.
@@ -239,28 +232,18 @@ def _derivative_index(order):
     return rows, cols
 
 
-def _free_m2k_float(m):
-    """Free cumulants of each row of m: k_1 = m_1, k_n = -[t^n] M(t)^(1-n) / (n-1).
-
-    m is one row or a batch of rows, mapped one row at a time, so a row's
-    cumulants do not depend on its batch. The powers of 1/M up to N - 1 give
-    the whole row: the coefficient read moves up by one with the power.
-    """
-    k = np.empty(m.shape, np.result_type(m, float))
-    for row, out in zip(m.reshape(-1, m.shape[-1]), k.reshape(-1, m.shape[-1])):
-        out[:] = _read_cumulants(row, _free_powers(row))
-    return k
-
-
 def _free_m2k_jac(m):
     """Free cumulants of one row m and their derivatives, from one chain of powers.
 
-    Differentiating k_n = -[t^n] S^(n-1) / (n-1) in m_j, where dS/dm_j = -S^2 t^j,
+    k_1 = m_1 and k_n = -[t^n] S^(n-1) / (n-1): the coefficient read moves up
+    by one with the power. Differentiating in m_j, where dS/dm_j = -S^2 t^j,
     gives dk_n/dm_j = [t^(n-j)] S^n, 0 for j > n: the power N is read here
     only. Returns k (N,) and dk (N, N).
     """
     powers = _free_powers(m)
-    return _read_cumulants(m, powers), powers[_derivative_index(len(m))]
+    n = np.arange(2, len(m) + 1)
+    k = np.concatenate((m[:1], powers[n - 1, n] / (1 - n)))
+    return k, powers[_derivative_index(len(m))]
 
 
 def convolve_moments(mx: MomentSequence, my: MomentSequence, kind) -> MomentSequence:

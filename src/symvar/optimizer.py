@@ -24,25 +24,26 @@ gives p - 0.079 at p = 0.51 (ROADMAP item 2). The search doubles as a falsifier.
 The search works in cumulant coordinates: by the same argument, the
 symmetry constraints k_odd(e) + k_odd(y) = 0 are linear in y's free
 cumulants. For y on k atoms (locations t in [-3, 2], weights w in [0, 1])
-one evaluation needs only y's moments (one cumprod and one stacked matmul)
-and the moments-to-cumulants kernel; e's cumulants are computed once. Each
-start runs one SLSQP solve (scipy's, Kraft 1988): minimize m_2(y) = sum w t^2
-subject to these odd cumulants and the mass row sum w = 1. m_2's analytic
-gradient is a callable of its own, so SLSQP computes it only at iterates,
-not at line-search points. The constraints' value at every point comes from
-one real kernel pass, and their Jacobian from the same pass, built only
-where SLSQP asks for it (about one point in three): the powers of S = 1/M
-that give the cumulants also give dk_n/dm_j = [t^(n-j)] S^n, and the chain
-rule runs through dm_j/dt_i = j w_i t_i^(j-1) and dm_j/dw_i = t_i^j; the
-mass row's is (0, .., 0, 1, .., 1). SLSQP asks for the Jacobian at the
-point whose value it just took (and first for the Jacobian at its start),
-so a one-entry memo, keyed on a copy of the point, keeps the pass and the
-Jacobian once built. With k <= 3 atoms there are fewer variables than
-equations and SLSQP returns its start.
+one evaluation needs only y's moments and the moments-to-cumulants kernel;
+e's cumulants are computed once. Each start runs one SLSQP solve (scipy's,
+Kraft 1988): minimize m_2(y) = sum w t^2 subject to these odd cumulants and
+the mass row sum w = 1. m_2's analytic gradient is a callable of its own, so
+SLSQP computes it only at iterates, not at line-search points. The
+constraints' value at every point comes from one real kernel pass, and their
+Jacobian from the same pass, built only where SLSQP asks for it (about one
+point in three): the powers of S = 1/M that give the cumulants also give
+dk_n/dm_j = [t^(n-j)] S^n, and the chain rule runs through
+dm_j/dt_i = j w_i t_i^(j-1) and dm_j/dw_i = t_i^j; the mass row's is
+(0, .., 0, 1, .., 1). SLSQP asks for the Jacobian at the point whose value it
+just took (and first for the Jacobian at its start), so the last point's pass
+is cached. With k <= 3 atoms there are fewer variables than equations and
+SLSQP returns its start. Every start and every solve is a candidate, judged
+by the constraint and the m_2 that SLSQP saw.
 Every result is reported by _result, whose residual is the largest odd
 moment of e+y, computed from the returned measure through convolve_moments.
 OptResult.evaluations counts every row of the odd-cumulant map: one per
-distinct SLSQP point and one per candidate; it is 0 for an LP.
+SLSQP point that differs from the one before it, and one per candidate; it is
+0 for an LP.
 
 scipy.optimize and scipy.sparse are imported inside the functions that call
 them, on the first LP or search: the CLI imports this module, and its exact
@@ -52,7 +53,7 @@ commands never use scipy, whose optimize package takes about 0.6 s to import.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from functools import cache
+from functools import cache, lru_cache
 from math import isfinite
 
 import numpy as np
@@ -60,7 +61,6 @@ import numpy as np
 from .cumulants import (
     MAX_ORDER,
     IndependenceKind,
-    _free_m2k_float,
     _free_m2k_jac,
     convolve_moments,
     odd_moment_residual,
@@ -154,7 +154,7 @@ class OptResult:
     status: str  # "optimal" | "feasible" | "infeasible"
     residual: float | None
     measure: DiscreteMeasure | None
-    evaluations: int = 0  # search points and candidates through the odd-cumulant map; 0 for LPs
+    evaluations: int = 0  # free search: kernel passes, at SLSQP's points and candidates; 0 for LPs
     order: int | None = None
 
     def to_json(self):
@@ -310,37 +310,22 @@ def minimize(*args, **kwargs):
     return optimize.minimize(*args, **kwargs)
 
 
-def _moments(locs, weights, order):
-    """Moments 1..order of the laws (locs, weights), one per row of shape (..., k)."""
-    powers = np.cumprod(np.repeat(locs[..., None], order, axis=-1), axis=-1)
-    return (weights[..., None, :] @ powers)[..., 0, :]
-
-
-def _odd_cumulants(locs, weights, e_kappa):
-    """Odd free cumulants of e+y and m2(y), per row, for y supported on (locs, weights).
-
-    e_kappa holds e's free cumulants k_1..k_N as a numpy vector, N >= 2; y's
-    come from the kernel, one call for all rows, which it maps one at a time:
-    a row's result does not depend on the others, so the candidates' final
-    check reproduces the gap SLSQP saw at each point. Complex rows work too:
-    the map has no abs, max or comparison, so a complex step through it
-    differentiates it.
-    """
-    my = _moments(locs, weights, len(e_kappa))
-    return (_free_m2k_float(my) + e_kappa)[:, 0::2], my[:, 1]
-
-
 def _constraint(locs, weights, e_kappa):
     """The search's constraints at one law y on (locs, weights), and their Jacobian's builder.
 
-    The constraints are _odd_cumulants' row and the mass row sum w - 1. The
-    Jacobian comes from the same kernel pass, built on the builder's first
-    call and then cached: dk_n/dm_j by _free_m2k_jac, then
-    dm_j/dt_i = j w_i t_i^(j-1) and dm_j/dw_i = t_i^j. The builder reads locs
-    and weights, so they must not change before it is called.
+    The constraints are the odd free cumulants of e+y, for e's cumulants
+    e_kappa (a numpy vector k_1..k_N, N >= 2), and the mass row sum w - 1.
+    One pass builds the powers t_i^j (j = 0..N), y's moments w @ t^j and the
+    kernel's cumulants and their derivatives. The Jacobian comes from the
+    same pass, built on the builder's first call and then cached: dk_n/dm_j
+    by _free_m2k_jac, then dm_j/dt_i = j w_i t_i^(j-1) and dm_j/dw_i = t_i^j.
+    The builder reads locs and weights, so they must not change before it is
+    called.
     """
     order, atoms = len(e_kappa), len(locs)
-    k_y, dk = _free_m2k_jac(_moments(locs[None], weights[None], order)[0])
+    powers = np.ones((atoms, order + 1))  # t_i^j, j = 0..N
+    np.cumprod(np.repeat(locs[:, None], order, axis=1), axis=1, out=powers[:, 1:])
+    k_y, dk = _free_m2k_jac(weights @ powers[:, 1:])
     odd = (order + 1) // 2
     value = np.empty(odd + 1)
     np.add(k_y[0::2], e_kappa[0::2], out=value[:-1])
@@ -348,8 +333,6 @@ def _constraint(locs, weights, e_kappa):
 
     @cache
     def jacobian():
-        powers = np.ones((atoms, order + 1))  # t_i^j, j = 0..N
-        np.cumprod(np.repeat(locs[:, None], order, axis=1), axis=1, out=powers[:, 1:])
         dm_dt = powers[:, :-1] * (weights[:, None] * np.arange(1, order + 1))
         dm = np.concatenate((dm_dt, powers[:, 1:]))  # dm_j/dz_i, z = (t, w)
         jac = np.zeros((odd + 1, 2 * atoms))
@@ -381,19 +364,13 @@ def nc_min_variance(p, kind, cfg: SearchConfig = SearchConfig()) -> OptResult:
     if kind is IndependenceKind.BOOLEAN:
         return _boolean_lp(pf, MAX_ORDER)
     k = cfg.atom_budget
-    e_kappa = _free_m2k_float(np.full(MAX_ORDER, pf))  # Bernoulli(p): m_n = p
-    evaluations = 0  # rows of the odd-cumulant map
-    memo = [None, None]  # the last point's bytes, and _constraint there
+    e_kappa = _free_m2k_jac(np.full(MAX_ORDER, pf))[0]  # Bernoulli(p): m_n = p
 
-    def constraint_at(z):
-        """_constraint at z: its value at every point, its Jacobian where SLSQP asks."""
-        nonlocal evaluations
-        key = z.tobytes()
-        if key != memo[0]:
-            evaluations += 1
-            x = np.frombuffer(key)  # a copy: SLSQP changes its z in place
-            memo[:] = key, _constraint(x[:k], x[k:], e_kappa)
-        return memo[1]
+    @lru_cache(maxsize=1)  # SLSQP asks for the Jacobian at the point whose value it just took
+    def constraint_at(key):
+        """_constraint at the point with these bytes: its value, and its Jacobian's builder."""
+        x = np.frombuffer(key)  # a copy: SLSQP changes its z in place
+        return _constraint(x[:k], x[k:], e_kappa)
 
     def m2(z):
         return z[k:] @ z[:k] ** 2
@@ -404,8 +381,8 @@ def nc_min_variance(p, kind, cfg: SearchConfig = SearchConfig()) -> OptResult:
 
     constraint = {
         "type": "eq",
-        "fun": lambda z: constraint_at(z)[0],
-        "jac": lambda z: constraint_at(z)[1](),
+        "fun": lambda z: constraint_at(z.tobytes())[0],
+        "jac": lambda z: constraint_at(z.tobytes())[1](),
     }
     bounds = [BOX] * k + [(0.0, 1.0)] * k
 
@@ -424,13 +401,13 @@ def nc_min_variance(p, kind, cfg: SearchConfig = SearchConfig()) -> OptResult:
     # the starts themselves are candidates: the seeded one is the theorem's
     # equality case and must never be lost to solver drift
     zs = np.vstack([starts, solved])
-    evaluations += len(zs)
-    odd = _odd_cumulants(zs[:, :k], zs[:, k:], e_kappa)[0]
-    res = np.maximum(np.abs(odd).max(axis=1), np.abs(zs[:, k:].sum(axis=1) - 1.0))
-    m2s = (zs[:, k:] * zs[:, :k] ** 2).sum(axis=1)
+    # judged by the constraint and the m2 that SLSQP saw
+    res = np.array([np.abs(_constraint(z[:k], z[k:], e_kappa)[0]).max() for z in zs])
+    m2s = np.array([m2(z) for z in zs])
     # a solve that converged ends with a gap below ftol; one cut at maxiter near
     # the constraint set trades gap for m2 (gap 5.5e-9 gave m2 = p - 2.1e-9)
     feasible = res < 1e-10
     best = np.lexsort((res, m2s, ~feasible))[0] if feasible.any() else np.lexsort((m2s, res))[0]
 
+    evaluations = constraint_at.cache_info().misses + len(zs)  # rows of the odd-cumulant map
     return _result(zs[best, :k], zs[best, k:], pf, kind, MAX_ORDER, 1e-6, evaluations=evaluations)

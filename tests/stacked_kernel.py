@@ -1,12 +1,13 @@
 """The stacked free kernel: the tests' oracle for symvar's row-by-row kernel.
 
-symvar.cumulants maps moment rows to free cumulants one row at a time. This
-module keeps the batched form it replaced: 1/M by a batched forward
-substitution, then a chain of stacked mat-vecs with the lower-triangular
-Toeplitz matrix of 1/M, all rows at once. On one row both compute every
-entry by the same operations in the same order, so the tests compare them
-bit for bit; across a batch the stacked mat-vecs may round differently.
-`constraint` is the free search's per-point constraint built on this kernel.
+symvar.cumulants maps one moment row to its free cumulants. This module
+keeps the batched form it replaced: moments by a stacked matmul, 1/M by a
+batched forward substitution, then a chain of stacked mat-vecs with the
+lower-triangular Toeplitz matrix of 1/M, all rows at once. On one row both
+compute every entry by the same operations in the same order, so the tests
+compare them bit for bit; across a batch the stacked mat-vecs may round
+differently. `constraint` is the free search's per-point constraint built on
+this kernel.
 """
 
 from __future__ import annotations
@@ -14,7 +15,13 @@ from __future__ import annotations
 import numpy as np
 
 from symvar.cumulants import _toeplitz_index
-from symvar.optimizer import _moments
+
+
+def _moments(locs, weights, order):
+    """Moments 1..order of the laws (locs, weights), one per row of shape (..., k):
+    one cumprod of the locations and one stacked matmul."""
+    powers = np.cumprod(np.repeat(locs[..., None], order, axis=-1), axis=-1)
+    return (weights[..., None, :] @ powers)[..., 0, :]
 
 
 def _toeplitz(s):

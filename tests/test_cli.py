@@ -1,8 +1,10 @@
 import argparse
 import csv
+import importlib
 import io
 import json
 import os
+import pkgutil
 import re
 import shlex
 import subprocess
@@ -126,6 +128,17 @@ def test_readme_names_every_option():
         and not re.search(rf"(?<![\w-]){re.escape(option)}(?![\w-])", readme)
     }
     assert not undocumented
+
+
+def test_readme_private_names_are_defined():
+    # README's layout cites internals such as `_constraint`; a renamed or
+    # deleted one must not linger there
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    names = set(re.findall(r"`(_\w+)`", readme))
+    modules = [importlib.import_module(f"symvar.{info.name}")
+               for info in pkgutil.iter_modules(symvar.__path__)]
+    assert names
+    assert {name for name in names if not any(hasattr(mod, name) for mod in modules)} == set()
 
 
 def test_optimize_free_small(capsys):
@@ -598,6 +611,16 @@ def test_measure_from_file(tmp_path, capsys):
     )
     assert code == 0
     assert json.loads(out)["residual"] == 0.0
+
+
+def test_measure_file_not_utf8_exit_1(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff" + EXACT_NEG_BERN.encode())
+    code = main(["symmetry", "--p", "0.3", "--kind", "free", "--measure", f"@{path}"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "not UTF-8" in json.loads(captured.out)["error"]
+    assert "Traceback" not in captured.err
 
 
 def test_bad_rational_exit_1(capsys):

@@ -18,7 +18,7 @@ from symvar.cumulants import (
     cumulants_to_moments,
     moments_to_cumulants,
     odd_moment_residual,
-    _free_m2k_float,
+    _free_m2k_jac,
     _recursion,
 )
 from symvar.errors import OrderError, SizeError
@@ -320,29 +320,23 @@ def test_free_float_kernels_match_exact_transforms():
 
 @pytest.mark.parametrize("kind", [K.FREE])  # the Boolean minimum is an LP and has no kernel
 def test_batched_float_kernels_match_exact_transforms_per_row(kind):
-    # the search passes one law per row of an (R, N) array; each row must match
-    # the exact transform as closely as a single sequence does
-    batch = _free_m2k_float
+    # the search maps one law per row; each row must match the exact transform
+    # as closely as a single sequence does
     laws = list(_random_float_laws(40, seed=29))
     m = np.array([w @ t[:, None] ** np.arange(1, MAX_ORDER + 1) for t, w in laws])
-    k = batch(m)
-    assert k.shape == m.shape
-    for row_m, row_k in zip(m, k):
+    for row_m in m:
+        row_k = _free_m2k_jac(row_m)[0]
+        assert row_k.shape == row_m.shape
         exact_k = moments_to_cumulants(MomentSequence(tuple(map(F, row_m))), kind).values
         _assert_close(row_k, exact_k, 1e-6)
-        # a single sequence is the one-row case, to the bit
-        assert batch(row_m).tobytes() == row_k.tobytes()
 
 
 @pytest.mark.parametrize("count", [2, 18, 50])
 def test_batched_rows_round_as_single_rows(count):
-    # the kernel maps one row at a time, so a row's cumulants do not depend on
-    # its batch, and a row alone is the stacked oracle's row alone; the
-    # stacked oracle's batched mat-vecs rounded rows of a batch differently
+    # each row of a batch of laws, through the kernel, is the stacked oracle's
+    # row alone, to the bit; the stacked oracle's batched mat-vecs rounded rows
+    # of a batch differently
     laws = list(_random_float_laws(count, seed=count))
     m = np.array([w @ t[:, None] ** np.arange(1, MAX_ORDER + 1) for t, w in laws])
-    k = _free_m2k_float(m)
-    for i in range(count):
-        alone = _free_m2k_float(m[i:i + 1])[0]
-        assert k[i].tobytes() == alone.tobytes()
-        assert alone.tobytes() == stacked_kernel.free_m2k_float(m[i]).tobytes()
+    for row in m:
+        assert _free_m2k_jac(row)[0].tobytes() == stacked_kernel.free_m2k_float(row).tobytes()

@@ -12,6 +12,7 @@ from symvar.cumulants import (
     MAX_ORDER,
     IndependenceKind,
     MomentSequence,
+    _free_m2k_jac,
     convolve_moments,
     moments_to_cumulants,
     odd_moment_residual,
@@ -252,14 +253,13 @@ def test_opt_result_json():
 @pytest.mark.parametrize("kind", ["free"])
 def test_sum_odd_moments_vanish_at_equality_case(kind, p):
     # y = -e in law symmetrizes e in every sense: all odd moments of e + y
-    # vanish, and so do its odd cumulants, which the search penalizes
+    # vanish, and so do its odd cumulants, which the search constrains
     kind = IndependenceKind(kind)
     for order in range(2, 14):
         e_kappa = np.array(moments_to_cumulants(MomentSequence((p,) * order), kind).values)
-        odd, m2 = optimizer._odd_cumulants(np.array([[-1.0, 0.0]]), np.array([[p, 1 - p]]), e_kappa)
-        assert odd.shape == (1, (order + 1) // 2)
-        assert np.abs(odd).max() <= 1e-12
-        assert m2 == pytest.approx(p, abs=1e-15)
+        value, _ = optimizer._constraint(np.array([-1.0, 0.0]), np.array([p, 1 - p]), e_kappa)
+        assert value.shape == ((order + 1) // 2 + 1,)  # the odd cumulants and the mass row
+        assert np.abs(value).max() <= 1e-12
 
 
 @pytest.mark.parametrize("p", [0.3, 0.7])
@@ -369,23 +369,30 @@ def test_search_does_not_revive_dropped_atoms():
 
 
 def test_evaluations_count_every_row_evaluated(monkeypatch):
-    # every constraint point and candidate row passes through _moments; the
-    # objective m2 does not, and the final report goes through convolve_moments.
-    # A point's value and Jacobian come from one row: SLSQP points are one row
-    # each, the candidates one batch at the end
-    rows = []
+    # every SLSQP point and every candidate passes through _constraint, one row
+    # each; the objective m2 does not, and the final report goes through
+    # convolve_moments. A point's value and Jacobian come from one row, and the
+    # candidates, the starts and then the solves, come last
+    points, runs = [], []
 
-    def counting_moments(locs, weights, order):
-        rows.append(len(locs))
-        return moments(locs, weights, order)
+    def counting_constraint(locs, weights, e_kappa):
+        points.append(np.r_[locs, weights])
+        return constraint(locs, weights, e_kappa)
 
-    moments = optimizer._moments
-    monkeypatch.setattr(optimizer, "_moments", counting_moments)
+    def recording_minimize(fun, x0, **kwargs):
+        res = minimize(fun, x0, **kwargs)
+        runs.append((x0.copy(), res.x))
+        return res
+
+    constraint, minimize = optimizer._constraint, optimizer.minimize
+    monkeypatch.setattr(optimizer, "_constraint", counting_constraint)
+    monkeypatch.setattr(optimizer, "minimize", recording_minimize)
     cfg = SearchConfig(restarts=1, atom_budget=3, seed=5)
     result = nc_min_variance(0.3, "free", cfg)
-    assert result.evaluations == sum(rows) > 0
-    assert rows[:-1] == [1] * (len(rows) - 1) and len(rows) > 1
-    assert rows[-1] == 2 * (cfg.restarts + 1)  # the starts and the solves
+    candidates = 2 * (cfg.restarts + 1)
+    assert result.evaluations == len(points) > candidates
+    starts, solves = zip(*runs)
+    assert np.array_equal(points[-candidates:], np.vstack(starts + solves))
     assert json.loads(result.to_json())["evaluations"] == result.evaluations
 
 
@@ -395,26 +402,10 @@ def _random_laws(rng, count, atoms):
 
 
 @pytest.mark.parametrize("p", [0.3, 0.7])
-def test_constraint_value_is_the_odd_cumulant_row_bit_for_bit(p):
-    # the search's per-point constraint reads the same kernel pass as the
-    # batched map: the one-row _odd_cumulants and the mass row, to the bit
-    e_kappa = optimizer._free_m2k_float(np.full(MAX_ORDER, p))
-    rng = np.random.default_rng(17)
-    for atoms in (1, 2, 6, 9):
-        for z in _random_laws(rng, 50, atoms):
-            locs, weights = z[None, :atoms], z[None, atoms:]
-            odd = optimizer._odd_cumulants(locs, weights, e_kappa)[0]
-            expected = np.hstack([odd, weights.sum(axis=1, keepdims=True) - 1.0])[0]
-            value, jacobian = optimizer._constraint(z[:atoms], z[atoms:], e_kappa)
-            assert value.tobytes() == expected.tobytes()
-            assert jacobian().shape == (len(value), 2 * atoms)
-
-
-@pytest.mark.parametrize("p", [0.3, 0.7])
 def test_constraint_matches_the_stacked_kernel_bit_for_bit(p):
     # the row-by-row kernel computes each entry as the stacked one did on one
     # row: same constraint values and Jacobian, so the same SLSQP trajectories
-    e_kappa = optimizer._free_m2k_float(np.full(MAX_ORDER, p))
+    e_kappa = _free_m2k_jac(np.full(MAX_ORDER, p))[0]
     assert e_kappa.tobytes() == stacked_kernel.free_m2k_float(np.full(MAX_ORDER, p)).tobytes()
     rng = np.random.default_rng(23)
     for atoms in (1, 2, 6, 9):
@@ -422,6 +413,7 @@ def test_constraint_matches_the_stacked_kernel_bit_for_bit(p):
             value, jacobian = optimizer._constraint(z[:atoms], z[atoms:], e_kappa)
             expected_value, expected_jac = stacked_kernel.constraint(z[:atoms], z[atoms:], e_kappa)
             assert value.tobytes() == expected_value.tobytes()
+            assert jacobian().shape == expected_jac.shape == (len(value), 2 * atoms)
             assert jacobian().tobytes() == expected_jac.tobytes()
 
 
@@ -438,7 +430,7 @@ def test_constraint_memo_follows_in_place_changes(monkeypatch):
     atoms = 4
     nc_min_variance(0.3, "free", SearchConfig(restarts=1, atom_budget=atoms, seed=3))
     fun, jac = constraints[0]["fun"], constraints[0]["jac"]
-    e_kappa = optimizer._free_m2k_float(np.full(MAX_ORDER, 0.3))
+    e_kappa = _free_m2k_jac(np.full(MAX_ORDER, 0.3))[0]
     a, b = _random_laws(np.random.default_rng(8), 2, atoms)
     expected = {z.tobytes(): stacked_kernel.constraint(z[:atoms], z[atoms:], e_kappa)
                 for z in (a, b)}
@@ -457,7 +449,7 @@ def test_constraint_memo_follows_in_place_changes(monkeypatch):
     assert np.array_equal(jac(b.copy()), expected[b.tobytes()][1])
     # a second request at the same point builds nothing: no row, the same array
     rows = []
-    monkeypatch.setattr(optimizer, "_moments", lambda *args: rows.append(args))
+    monkeypatch.setattr(optimizer, "_constraint", lambda *args: rows.append(args))
     assert jac(b) is jac(b) and not rows
 
 
@@ -465,11 +457,12 @@ def test_constraint_memo_follows_in_place_changes(monkeypatch):
 def test_complex_step_through_odd_cumulants(p):
     # the search's constraint Jacobian is analytic (dk_n/dm_j = [t^(n-j)] S^n
     # and the chain rule through the moments); two oracles check it. The
-    # complex step: the batched map on z + ih e_j has real part the float map
-    # (to rounding, which scales with y's largest moment) and imag / h the
-    # derivative, since the kernels have no abs, float buffer or branch on a
-    # value. And a five-point central difference
-    e_kappa = optimizer._free_m2k_float(np.full(MAX_ORDER, p))
+    # complex step: the map on z + ih e_j, the oracle's stacked moments then
+    # the kernel row by row, has real part the float map (to rounding, which
+    # scales with y's largest moment) and imag / h the derivative, since the
+    # kernel has no abs, float buffer or branch on a value. And a five-point
+    # central difference
+    e_kappa = _free_m2k_jac(np.full(MAX_ORDER, p))[0]
     rng = np.random.default_rng(0)
     laws = [np.array([-1.0, 0.0, p, 1 - p])]  # the equality case y = -e
     laws += [np.r_[rng.uniform(-3, 2, 4), rng.dirichlet(np.ones(4))] for _ in range(2)]
@@ -477,13 +470,14 @@ def test_complex_step_through_odd_cumulants(p):
         k, eye, h, d = len(z) // 2, np.eye(len(z)), 1e-30, 3e-4
 
         def f(rows):
-            odd = optimizer._odd_cumulants(rows[:, :k], rows[:, k:], e_kappa)[0]
+            m = stacked_kernel._moments(rows[:, :k], rows[:, k:], MAX_ORDER)
+            odd = (np.array([_free_m2k_jac(row)[0] for row in m]) + e_kappa)[:, 0::2]
             return np.hstack([odd, rows[:, k:].sum(axis=1, keepdims=True) - 1.0])
 
         value, jacobian = optimizer._constraint(z[:k], z[k:], e_kappa)
         jac = jacobian()
         stepped = f(z + 1j * h * eye)
-        scale = np.abs(optimizer._moments(z[:k], z[k:], MAX_ORDER)).max()
+        scale = np.abs(stacked_kernel._moments(z[:k], z[k:], MAX_ORDER)).max()
         assert np.abs(stepped.real - value).max() <= 1e-15 * scale
         assert np.abs(jac - stepped.imag.T / h).max() <= 1e-12 * scale
         central = (8 * (f(z + d * eye) - f(z - d * eye))
