@@ -5,8 +5,10 @@ For each command below it prints the argv, the exit code and the stdout of
 SHA-256 of the rotated and the commuting `matrixlab._realize` spectra. The
 commands run in a scratch directory that holds `deep.json`, a measure nested
 DEPTH arrays deep; an argument longer than 80 characters prints as its length
-and first characters. A refactor that must not change any output gives the
-same snapshot before and after:
+and first characters. The first line names the BLAS thread settings and the
+CPU count: the free search's results depend on the thread count, so compare
+only snapshots taken at one setting. A refactor that must not change any
+output gives the same snapshot before and after:
 
     PYTHONPATH=src python scripts/output_snapshot.py > after.txt
     (cd ../parent && PYTHONPATH=src python /path/to/output_snapshot.py) > before.txt
@@ -124,6 +126,9 @@ def _shown(arg):
 
 
 def main_snapshot():
+    threads = " ".join(f"{v}={os.environ.get(v)}"
+                       for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"))
+    print(f"{threads} cpu_count={os.cpu_count()}")
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as scratch:
         os.chdir(scratch)

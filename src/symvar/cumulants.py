@@ -34,13 +34,13 @@ of the denominators and is often far smaller: the moments of a law on
 (1/4)Z with weights over w have denominators dividing 4^n w, so c divides
 4w, where the lcm reaches 4^N w.
 
-The free search needs many sequences at once, and only moments to
-cumulants: cumulants add, and every partition of an odd set has a block of
-odd size, so the odd moments of e+y up to order N vanish exactly when its odd
-cumulants k_odd(e) + k_odd(y) do, and the search constrains those. For it the
-numpy kernel below maps one moment row to its cumulant row. It is Lagrange
-inversion (Nica-Speicher, Lectures on the Combinatorics of Free Probability,
-Lect. 16),
+The free search needs only moments to cumulants, one moment row per call:
+cumulants add, and every partition of an odd set has a block of odd size, so
+the odd moments of e+y up to order N vanish exactly when its odd cumulants
+k_odd(e) + k_odd(y) do, and the search constrains those. For it the numpy
+kernel below maps one moment row to its cumulant row, reading one cached
+index per order. It is Lagrange inversion (Nica-Speicher, Lectures on the
+Combinatorics of Free Probability, Lect. 16),
 
   k_n = -[t^n] M(t)^(1-n) / (n-1)  (n >= 2),
 
@@ -120,13 +120,11 @@ def _transform(values, kind, to_moments):
     """Cumulants k_1..k_N to moments (to_moments) or moments to cumulants.
 
     Runs the recursion of the module docstring on one sequence and returns a
-    list. Rationals (ints and at least one Fraction) run it on Python ints,
-    scaled by c^n; any other input runs it in the arithmetic of its values.
+    list. Rationals (ints and Fractions; c = 1 when all are ints) run it on
+    Python ints, scaled by c^n; any other input runs it in the arithmetic of
+    its values.
     """
-    if not (
-        all(isinstance(v, (int, Fraction)) for v in values)
-        and any(isinstance(v, Fraction) for v in values)
-    ):
+    if not all(isinstance(v, (int, Fraction)) for v in values):
         return _recursion(values, kind, to_moments)
     c = 1
     for n, v in enumerate(values, 1):
@@ -136,7 +134,7 @@ def _transform(values, kind, to_moments):
     ints = [v.numerator * (s // v.denominator) for v, s in zip(values, scales)]
     out = _recursion(ints, kind, to_moments)
     # entries before the first Fraction depend on ints only and stay ints
-    first = next(i for i, v in enumerate(values) if isinstance(v, Fraction))
+    first = next((i for i, v in enumerate(values) if isinstance(v, Fraction)), len(values))
     return [x // s if i < first else Fraction(x, s) for i, (x, s) in enumerate(zip(out, scales))]
 
 
@@ -188,62 +186,49 @@ def moments_to_cumulants(m: MomentSequence, kind) -> CumulantSequence:
     return CumulantSequence(kind, tuple(_transform(m.values, kind, False)))
 
 
-@lru_cache(maxsize=MAX_ORDER + 1)
-def _toeplitz_index(n):
-    """Gather index of an n x n lower-triangular Toeplitz matrix; n points at a zero."""
-    lag = np.subtract.outer(np.arange(n), np.arange(n))
-    idx = np.where(lag >= 0, lag, n)
-    idx.flags.writeable = False
-    return idx
+@lru_cache(maxsize=MAX_ORDER)
+def _kernel_index(order):
+    """Read-only gathers of _free_m2k_jac at order N.
+
+    The (N+1) x (N+1) index of S's lower-triangular Toeplitz matrix (lag
+    i - j, N + 1 pointing at a zero), and the (rows, cols) picking
+    [t^(n-j)] S^n at (n, j), n, j = 1..N, from the powers; for j > n they
+    point at (0, N), a zero: S^0 = 1.
+    """
+    i = np.arange(order + 1)
+    lag = np.subtract.outer(i, i)
+    toeplitz = np.where(lag >= 0, lag, order + 1)
+    n, lag = i[1:], lag[1:, 1:]
+    rows, cols = np.where(lag >= 0, n[:, None], 0), np.where(lag >= 0, lag, order)
+    toeplitz.flags.writeable = rows.flags.writeable = cols.flags.writeable = False
+    return toeplitz, (rows, cols)
 
 
-def _free_powers(m):
-    """Rows [t^i] S^n, i = 0..N, of the powers n = 0..N of S = 1/M, for one row m.
+def _free_m2k_jac(m):
+    """Free cumulants of one row m and their derivatives, from one chain of powers.
 
-    1/M comes by forward substitution on Python scalars, each sum in index
-    order; each Toeplitz mat-vec then multiplies the last power by S, into
-    its row of the result.
+    S = 1/M by forward substitution, each sum in index order; each Toeplitz
+    mat-vec multiplies the last power by S, into powers[n, i] = [t^i] S^n.
+    k_1 = m_1 and k_n = -[t^n] S^(n-1) / (n-1). As dS/dm_j = -S^2 t^j,
+    dk_n/dm_j = [t^(n-j)] S^n, 0 for j > n: the power N is read here only.
+    Returns k (N,) and dk (N, N).
     """
     order = len(m)
+    toeplitz, derivative = _kernel_index(order)
     mm, s = [1.0] + m.tolist(), [1.0]  # Python scalars: numpy's cost ~1 us per operation
     for n in range(1, order + 1):
         acc = 0.0
         for i in range(n):
             acc += mm[n - i] * s[i]
         s.append(-acc)
-    lt = np.array(s + [0.0])[_toeplitz_index(order + 1)]
+    lt = np.array(s + [0.0])[toeplitz]
     powers = np.zeros((order + 1, order + 1), lt.dtype)
     powers[0, 0] = 1
     for n in range(1, order + 1):
         lt.dot(powers[n - 1], out=powers[n])
-    return powers
-
-
-@lru_cache(maxsize=MAX_ORDER + 1)
-def _derivative_index(order):
-    """(rows, cols) gathering [t^(n-j)] S^n at (n, j), n, j = 1..N, from _free_powers' rows.
-
-    For j > n they point at (0, N), a zero: S^0 = 1.
-    """
-    n = np.arange(1, order + 1)
-    lag = np.subtract.outer(n, n)
-    rows, cols = np.where(lag >= 0, n[:, None], 0), np.where(lag >= 0, lag, order)
-    rows.flags.writeable = cols.flags.writeable = False
-    return rows, cols
-
-
-def _free_m2k_jac(m):
-    """Free cumulants of one row m and their derivatives, from one chain of powers.
-
-    k_1 = m_1 and k_n = -[t^n] S^(n-1) / (n-1): the coefficient read moves up
-    by one with the power. Differentiating in m_j, where dS/dm_j = -S^2 t^j,
-    gives dk_n/dm_j = [t^(n-j)] S^n, 0 for j > n: the power N is read here
-    only. Returns k (N,) and dk (N, N).
-    """
-    powers = _free_powers(m)
-    n = np.arange(2, len(m) + 1)
+    n = np.arange(2, order + 1)
     k = np.concatenate((m[:1], powers[n - 1, n] / (1 - n)))
-    return k, powers[_derivative_index(len(m))]
+    return k, powers[derivative]
 
 
 def convolve_moments(mx: MomentSequence, my: MomentSequence, kind) -> MomentSequence:

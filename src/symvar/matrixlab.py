@@ -66,8 +66,9 @@ from .measures import DiscreteMeasure, bernoulli, check_p, check_seed, moments_o
 MAX_SIM_DIM = 2500
 # Most replicas per dimension, checked before any seed is spawned: one at
 # n = 2500 with that law takes 6-7 s at p = 1/2 and about 3 s at p = 0.3
-# (2-vCPU VM), so one dimension's replicas take minutes. A job's total is not
-# bounded: proof-identity runs this many for each entry of --dims.
+# (2-vCPU VM), so one dimension's replicas take minutes. A draw costs O(n^3),
+# so a job's total, sum reps * n^3 over its dimensions, may not pass that of
+# the largest one-dimension job, MAX_REPS * MAX_SIM_DIM^3.
 MAX_REPS = 100
 
 
@@ -212,15 +213,19 @@ def _realize(model: MatrixModel, rotate=True):
     return draw(atoms, counts, min(r, n - r), sigma, np.random.default_rng(model.seed)) + shift
 
 
-def _replicas(n, p, y_law, entropy, reps):
-    """reps models of dimension n, seeded by SeedSequence(entropy)'s children; sizes first."""
-    _check_dim(n)
-    if reps < 1:
-        raise SizeError("reps must be >= 1")
-    if reps > MAX_REPS:
-        raise SizeError(f"reps must be at most {MAX_REPS}, got {reps}")
-    children = np.random.SeedSequence(entropy).spawn(reps)
-    return [MatrixModel(n, p, y_law, int(c.generate_state(1)[0])) for c in children]
+def _replicas(jobs, p, y_law, reps):
+    """reps models per (n, entropy) job from SeedSequence(entropy)'s children; sizes first."""
+    for n, _ in jobs:
+        _check_dim(n)
+        if reps < 1:
+            raise SizeError("reps must be >= 1")
+        if reps > MAX_REPS:
+            raise SizeError(f"reps must be at most {MAX_REPS}, got {reps}")
+    if reps * sum(n**3 for n, _ in jobs) > MAX_REPS * MAX_SIM_DIM**3:
+        raise SizeError(f"reps * (sum of n^3 over dims) must be at most that of {MAX_REPS} "
+                        f"replicas at n = {MAX_SIM_DIM}, {MAX_REPS * MAX_SIM_DIM**3}")
+    return [MatrixModel(n, p, y_law, int(c.generate_state(1)[0]))
+            for n, entropy in jobs for c in np.random.SeedSequence(entropy).spawn(reps)]
 
 
 def simulate_free_sum(model: MatrixModel, order) -> MomentSequence:
@@ -263,8 +268,7 @@ def proof_identity_report(p, y_law, dims, seeds_per_dim, master_seed):
     check_seed(master_seed)
     if len(set(dims)) < len(dims):  # n seeds its replicas: a repeated n repeats their draws
         raise SizeError(f"dims must not repeat a dimension, got {dims}")
-    # every dimension is checked before the first draw
-    models = [m for n in dims for m in _replicas(n, p, y_law, [master_seed, n], seeds_per_dim)]
+    models = _replicas([(n, [master_seed, n]) for n in dims], p, y_law, seeds_per_dim)
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite residuals are refused below
         rows = [{"n": m.n, "seed": m.seed,
                  "rotated_residual": test_proof_identity(m, grid_free=True),
@@ -281,7 +285,7 @@ def empirical_vs_predicted(model: MatrixModel, order, reps):
     the standard error is undefined: it is reported as None and nothing is
     flagged. A figure beyond the float range is a SizeError.
     """
-    models = _replicas(model.n, model.p, model.y_law, model.seed, reps)
+    models = _replicas([(model.n, model.seed)], model.p, model.y_law, reps)
     me = moments_of(bernoulli(model.p), order)
     my = moments_of(model.y_law, order)
     predicted = convolve_moments(me, my, IndependenceKind.FREE).values

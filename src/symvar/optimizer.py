@@ -355,7 +355,8 @@ def nc_min_variance(p, kind, cfg: SearchConfig = SearchConfig()) -> OptResult:
     cumulants of e+y vanishing up to MAX_ORDER and unit mass. The starts are
     the known equality candidate y = -e in law and cfg.restarts random laws;
     they stay candidates too. The lowest m2 among candidates whose gap is
-    below 1e-10 wins, else the smallest gap. Deterministic for a fixed config.
+    below 1e-10 wins, else the smallest gap. Deterministic for a fixed config
+    and BLAS thread count: SLSQP's iterates, so `evaluations`, vary with it.
     """
     pf = check_p(float(p))
     kind = IndependenceKind(kind)

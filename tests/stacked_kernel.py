@@ -7,14 +7,13 @@ lower-triangular Toeplitz matrix of 1/M, all rows at once. On one row both
 compute every entry by the same operations in the same order, so the tests
 compare them bit for bit; across a batch the stacked mat-vecs may round
 differently. `constraint` is the free search's per-point constraint built on
-this kernel.
+this kernel. It imports nothing from symvar, so it shares no code with what
+it checks.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from symvar.cumulants import _toeplitz_index
 
 
 def _moments(locs, weights, order):
@@ -27,8 +26,10 @@ def _moments(locs, weights, order):
 def _toeplitz(s):
     """Lower-triangular Toeplitz matrix of each row of s: multiplying by it is
     multiplication by that series, truncated at the row length."""
+    n = s.shape[-1]
+    lag = np.arange(n)[:, None] - np.arange(n)[None, :]
     pad = np.concatenate((s, np.zeros(s.shape[:-1] + (1,))), axis=-1)
-    return pad[..., _toeplitz_index(s.shape[-1])]
+    return pad[..., np.where(lag >= 0, lag, n)]
 
 
 def _unit_series(tail):

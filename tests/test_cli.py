@@ -1,4 +1,5 @@
 import argparse
+import ast
 import csv
 import importlib
 import io
@@ -139,6 +140,29 @@ def test_readme_private_names_are_defined():
                for info in pkgutil.iter_modules(symvar.__path__)]
     assert names
     assert {name for name in names if not any(hasattr(mod, name) for mod in modules)} == set()
+
+
+def test_free_search_repeats_in_fresh_processes_at_one_blas_thread():
+    # SLSQP's iterates depend on the BLAS thread count, so a result repeats
+    # at a fixed count only; here a random start wins by a hair
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONPATH=str(Path(symvar.__file__).resolve().parents[1]))
+    argv = [sys.executable, "-m", "symvar.cli", "optimize", "--kind", "free", "--p", "0.3",
+            "--seed", "4053640108", "--restarts", "8"]
+    first, second = (subprocess.run(argv, capture_output=True, env=env, timeout=120,
+                                    check=True).stdout for _ in range(2))
+    assert first == second
+
+
+def test_oracles_import_no_private_symvar_name():
+    # an oracle that shares code with what it checks cannot catch that code's faults
+    tests = Path(__file__).resolve().parent
+    private = []
+    for name in ("stacked_kernel.py", "lattice.py", "haar_oracle.py"):
+        for node in ast.walk(ast.parse((tests / name).read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("symvar"):
+                private += [(name, a.name) for a in node.names if a.name.startswith("_")]
+    assert private == []
 
 
 def test_optimize_free_small(capsys):
@@ -384,9 +408,16 @@ def _assert_json_error(capsys, argv):
         ["--experiment", "proof-identity", "--dims", "2", "--reps", str(MAX_REPS + 1)],
         ["--reps", "4611686018427387904"],  # 2**62: refused before any seed or array is made
         ["--experiment", "proof-identity", "--dims", "20,20", "--reps", "2"],  # same draws twice
+        # sum reps * n^3 is 94 times that of MAX_REPS replicas at MAX_SIM_DIM
+        ["--experiment", "proof-identity", "--dims", ",".join(map(str, range(2401, 2501))),
+         "--reps", str(MAX_REPS)],
     ],
 )
-def test_simulate_bad_sizes_exit_1(capsys, argv):
+def test_simulate_bad_sizes_exit_1(capsys, monkeypatch, argv):
+    def draw(*args, **kwargs):
+        raise AssertionError("a refused job drew a matrix")
+
+    monkeypatch.setattr(matrixlab, "_realize", draw)
     _assert_json_error(capsys, ["simulate", "--p", "0.3", "--seed", "1", *argv])
 
 

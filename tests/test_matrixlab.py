@@ -459,6 +459,9 @@ def test_empirical_vs_predicted_draws_from_the_children_of_the_model_seed(monkey
         lambda: ml.empirical_vs_predicted(ml.MatrixModel(200, 0.3, Y_LAW, 1), 4, ml.MAX_REPS + 1),
         lambda: ml.empirical_vs_predicted(ml.MatrixModel(200, 0.3, Y_LAW, 1), 4, 2**62),
         lambda: ml.proof_identity_report(0.3, Y_LAW, [20, 41, 20], 2, 5),  # would repeat its draws
+        # sum reps * n^3 is 94 times that of MAX_REPS replicas at MAX_SIM_DIM
+        lambda: ml.proof_identity_report(0.3, Y_LAW, list(range(2401, 2501)), ml.MAX_REPS, 1),
+        lambda: ml.proof_identity_report(0.3, Y_LAW, [ml.MAX_SIM_DIM, 2], ml.MAX_REPS, 1),
     ],
 )
 def test_bad_sizes_are_refused_before_any_draw(monkeypatch, call):
@@ -467,6 +470,18 @@ def test_bad_sizes_are_refused_before_any_draw(monkeypatch, call):
     with pytest.raises(SizeError):
         call()
     assert calls == []
+
+
+def test_a_job_at_the_work_budget_reaches_its_first_draw(monkeypatch):
+    class Drawn(Exception):
+        pass
+
+    def first_draw(model, rotate):
+        raise Drawn(model.n)
+
+    monkeypatch.setattr(ml, "_realize", first_draw)
+    with pytest.raises(Drawn):
+        ml.proof_identity_report(0.3, Y_LAW, [ml.MAX_SIM_DIM], ml.MAX_REPS, 1)
 
 
 def test_empirical_vs_predicted_report():
