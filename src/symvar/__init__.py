@@ -28,4 +28,4 @@ from .optimizer import (
     nc_min_variance,
 )
 
-__version__ = "0.12.10"
+__version__ = "0.12.11"

@@ -7,7 +7,9 @@ sample_haar_unitary draw Haar isometries and unitaries by the QR of a
 complex Ginibre matrix. A given n x s isometry q spans the range of E
 (r <= n - r) or of I - E (otherwise), and one QR per atom block compresses
 D + sigma q q* into one eigenproblem of dimension at most n. The tests
-compare the two draws with it, in law or on the same q.
+compare the two draws with it, in law or on the same q. bartlett_assembly
+keeps the Bartlett draw's assembly as symvar 0.12.10 wrote it, every array
+alive to the end; the draw must give its spectrum to the byte.
 """
 
 from __future__ import annotations
@@ -56,3 +58,12 @@ def rotated_spectrum(model: MatrixModel, q):
     small = sigma * (rr @ rr.conj().T)
     small[np.diag_indices_from(small)] += np.concatenate(diag)
     return np.concatenate([np.linalg.eigvalsh(small), *rest]) + shift
+
+
+def bartlett_assembly(atoms, counts, s, sigma, t):
+    """Eigenvalues (unordered) of D + sigma F from the stacked Bartlett factors t, as 0.12.10 had them."""
+    kept = np.minimum(counts, s)
+    rh = np.linalg.solve(np.linalg.cholesky(t.conj().T @ t), t.conj().T)  # R* = L^-1 T*
+    small = (sigma * rh.conj().T) @ rh
+    small[np.diag_indices_from(small)] += np.repeat(atoms, kept)
+    return np.concatenate([np.linalg.eigvalsh(small), np.repeat(atoms, counts - kept)])

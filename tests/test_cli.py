@@ -144,14 +144,19 @@ def test_readme_private_names_are_defined():
 
 def test_free_search_repeats_in_fresh_processes_at_one_blas_thread():
     # SLSQP's iterates depend on the BLAS thread count, so a result repeats
-    # at a fixed count only; here a random start wins by a hair
+    # at a fixed count only; here a random start wins by a hair. The Bartlett
+    # draw of a three-atom law (Cholesky, solve and eigvalsh through numpy's
+    # BLAS) repeats at a fixed count too, to the last bit of each residual.
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                PYTHONPATH=str(Path(symvar.__file__).resolve().parents[1]))
-    argv = [sys.executable, "-m", "symvar.cli", "optimize", "--kind", "free", "--p", "0.3",
-            "--seed", "4053640108", "--restarts", "8"]
-    first, second = (subprocess.run(argv, capture_output=True, env=env, timeout=120,
-                                    check=True).stdout for _ in range(2))
-    assert first == second
+    three_atom = '{"atoms": [[-1, 0.2], [-0.5, 0.2], [0, 0.6]], "mode": "float"}'
+    for args in (["optimize", "--kind", "free", "--p", "0.3", "--seed", "4053640108", "--restarts", "8"],
+                 ["simulate", "--experiment", "proof-identity", "--p", "0.3", "--dims", "50,120",
+                  "--reps", "2", "--seed", "5", "--measure", three_atom]):
+        argv = [sys.executable, "-m", "symvar.cli", *args]
+        first, second = (subprocess.run(argv, capture_output=True, env=env, timeout=120,
+                                        check=True).stdout for _ in range(2))
+        assert first and first == second, args
 
 
 def test_oracles_import_no_private_symvar_name():

@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from haar_oracle import rotated_spectrum, sample_haar_isometry, sample_haar_unitary
+from haar_oracle import bartlett_assembly, rotated_spectrum, sample_haar_isometry, sample_haar_unitary
 from symvar import matrixlab as ml
 from symvar.cumulants import IndependenceKind, convolve_moments
 from symvar.errors import CriticalCaseError, SizeError
@@ -314,11 +318,14 @@ def _positive_r(g):
 
 @pytest.mark.parametrize(
     "name,n,p",
-    [("two_atom", 20, 0.3), ("two_atom", 21, 0.6), ("one_atom", 20, 0.3)] + BARTLETT_SHAPES,
+    [("two_atom", 20, 0.3), ("two_atom", 21, 0.6), ("one_atom", 20, 0.3), ("one_atom", 21, 0.6),
+     ("three_atom", 300, 0.3), ("four_atom", 301, 0.6)] + BARTLETT_SHAPES,
 )
 def test_bartlett_assembly_is_exact_on_given_factors(name, n, p, monkeypatch):
     # the R-factors of one Ginibre matrix's blocks give the spectrum of
-    # D + sigma G (G*G)^-1 G*, for a law of any number of atoms
+    # D + sigma G (G*G)^-1 G*, for a law of any number of atoms; freeing
+    # arrays early and scaling R's conjugate in place keep the bits of the
+    # old assembly on the same factors
     law = LAWS[name]
     model = ml.MatrixModel(n, p, law, 0)
     r = model.rank()
@@ -327,7 +334,8 @@ def test_bartlett_assembly_is_exact_on_given_factors(name, n, p, monkeypatch):
     g = _ginibre((n, s), np.random.default_rng(8))
     counts = ml.spectral_multiplicities(law, n)
     starts = np.concatenate([[0], np.cumsum(counts)])
-    factors = iter([_positive_r(g[lo:hi]) for lo, hi in zip(starts, starts[1:])])
+    stacked = [_positive_r(g[lo:hi]) for lo, hi in zip(starts, starts[1:])]
+    factors = iter(stacked)
 
     def given(rows, cols, rng):
         rf = next(factors)
@@ -336,12 +344,47 @@ def test_bartlett_assembly_is_exact_on_given_factors(name, n, p, monkeypatch):
 
     monkeypatch.setattr(ml, "_bartlett_factor", given)
     atoms = [float(t) for t, _ in law.atoms]
-    got = np.sort(ml._bartlett_spectrum(atoms, counts, s, sigma, None) + shift)
+    raw = ml._bartlett_spectrum(atoms, counts, s, sigma, None)
+    assert raw.tobytes() == bartlett_assembly(atoms, counts, s, sigma, np.vstack(stacked)).tobytes()
+    got = np.sort(raw + shift)
     f = g @ np.linalg.solve(g.conj().T @ g, g.conj().T)
     d = ml._eigenvalue_vector(law, n)
     want = shift + np.linalg.eigvalsh(np.diag(d) + sigma * f)
     assert len(got) == n
     assert np.max(np.abs(got - want)) < 1e-12
+
+
+_DRAW_GROWTH = """
+from symvar import matrixlab as ml
+from symvar.measures import DiscreteMeasure
+
+
+def peak_kib():
+    # this process image's peak RSS: ru_maxrss would also keep the peak of the
+    # process that spawned it, which Linux carries across exec
+    with open("/proc/self/status") as fh:
+        return int(next(line.split()[1] for line in fh if line.startswith("VmHWM:")))
+
+
+law = DiscreteMeasure.from_atoms([(-1.0, 0.2), (-0.5, 0.2), (0.0, 0.6)], mode="float")
+ml._realize(ml.MatrixModel(200, 0.3, law, 1))
+before = peak_kib()
+ml._realize(ml.MatrixModel(1600, 0.3, law, 2))
+print(peak_kib() - before)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads VmHWM from /proc/self/status")
+def test_bartlett_draw_peaks_below_three_compressed_matrices():
+    # n = 1600, p = 0.3: m_j = 320, 320, 480, so the eigenproblem has N = 1120.
+    # Alive at the eigensolve are the N x N matrix and eigvalsh's copy of it:
+    # the draw grows the peak by about 2.3 N^2 complex, against 4.2 when T, R*
+    # and sigma R stayed alive beside them
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONPATH=str(Path(ml.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-c", _DRAW_GROWTH], capture_output=True, text=True,
+                          env=env, timeout=120, check=True)
+    assert int(done.stdout) * 1024 <= 3 * 1120**2 * 16
 
 
 @pytest.mark.parametrize("rows,cols", [(5, 3), (3, 5), (4, 4), (1, 3)])
